@@ -1,107 +1,29 @@
-//! Online-detection eval bench (DESIGN.md §2j; EXPERIMENTS.md "Online
+//! Online-detection quality eval (DESIGN.md §2j; EXPERIMENTS.md "Online
 //! detection").
 //!
-//! Drives the resident daemon's third workload class — whole page-load
-//! observations scored by the snapshot's frozen [`Detector`] — and
-//! reports three things:
+//! Scores whole page-load observations with the daemon snapshot's frozen
+//! detector and reports precision/recall against the simulated world's
+//! ground truth, on two splits — *seen* (every campaign fed to the index)
+//! and *held-out* (whole campaigns withheld from the feed, so only the
+//! escalation and feature-threshold stages can catch them — the
+//! generalization claim).
 //!
-//! 1. **Exactness** (gated before any number is written): the detector
-//!    built at 1/2/8 workers returns byte-identical verdicts, every
-//!    served verdict equals `seacma-detect`'s naive linear-scan oracle,
-//!    and a daemon snapshot → resume round trip changes no verdict byte.
-//! 2. **Detection quality**: precision/recall against the simulated
-//!    world's ground truth, on two splits — *seen* (every campaign fed to
-//!    the index) and *held-out* (whole campaigns withheld from the feed,
-//!    so only the escalation and feature-threshold stages can catch them
-//!    — the generalization claim).
-//! 3. **Latency**: single-core QPS and p50/p95/p99 per verdict kind.
+//! This is a quality result, not a bench: detector exactness is pinned by
+//! `tests/detect_exactness.rs` and per-verdict-kind latency is measured by
+//! `benchmark/` (`detect.*_ns`, `daemon.*_p50_us`).
 //!
 //! ```text
-//! cargo run --release -p seacma-bench --bin detect_eval -- --json BENCH_detect.json
-//! cargo run -p seacma-bench --bin detect_eval -- --quick   # tier-1 smoke
+//! cargo run --release -p seacma-bench --bin detect_eval -- --json EVAL_detect.json
+//! cargo run -p seacma-bench --bin detect_eval -- --quick
 //! ```
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use seacma_core::detecteval::{eval_observations, EvalObservation};
 use seacma_core::{Pipeline, PipelineConfig};
 use seacma_daemon::{Daemon, ReputationSnapshot};
-use seacma_detect::oracle::linear_verdict;
-use seacma_detect::{Detector, PageObservation, PageSignals, Verdict};
 use seacma_simweb::WorldConfig;
 use seacma_util::json::{self, Value};
-use seacma_util::prop::Rng;
-use seacma_vision::dhash::Dhash;
-
-/// Latency percentile over sorted per-query samples (nearest-rank).
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted_ns.len() as f64).ceil().max(1.0) as usize - 1;
-    sorted_ns[rank.min(sorted_ns.len() - 1)] as f64 / 1_000.0
-}
-
-/// Times `queries` calls of `run` one by one on the current thread,
-/// returning `(total_ns, sorted per-query ns)`.
-fn time_kind(queries: usize, mut run: impl FnMut(usize) -> u64) -> (u64, Vec<u64>) {
-    let mut samples = Vec::with_capacity(queries);
-    let mut checksum = 0u64;
-    let wall = Instant::now();
-    for i in 0..queries {
-        let t = Instant::now();
-        checksum = checksum.wrapping_add(run(i));
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    let total = wall.elapsed().as_nanos() as u64;
-    std::hint::black_box(checksum);
-    samples.sort_unstable();
-    (total, samples)
-}
-
-fn kind_stats(name: &str, total_ns: u64, sorted_ns: &[u64]) -> (String, Value) {
-    let n = sorted_ns.len() as f64;
-    let qps = n / (total_ns as f64 / 1e9);
-    println!(
-        "{name:>14}: {qps:>12.0} qps   p50 {:>7.2} µs   p95 {:>7.2} µs   p99 {:>7.2} µs",
-        percentile_us(sorted_ns, 50.0),
-        percentile_us(sorted_ns, 95.0),
-        percentile_us(sorted_ns, 99.0),
-    );
-    (
-        name.to_string(),
-        Value::Obj(vec![
-            ("queries".into(), Value::UInt(sorted_ns.len() as u128)),
-            ("qps".into(), Value::Float((qps * 10.0).round() / 10.0)),
-            ("p50_us".into(), Value::Float(percentile_us(sorted_ns, 50.0))),
-            ("p95_us".into(), Value::Float(percentile_us(sorted_ns, 95.0))),
-            ("p99_us".into(), Value::Float(percentile_us(sorted_ns, 99.0))),
-        ]),
-    )
-}
-
-/// A stable small word per verdict, to keep the optimizer honest.
-fn verdict_word(v: &Verdict) -> u64 {
-    match v {
-        Verdict::Campaign { campaign, .. } => u64::from(*campaign) + 4,
-        Verdict::NearCampaign { campaign, .. } => u64::from(*campaign) + 3,
-        Verdict::Suspicious { score } => u64::from(*score) + 2,
-        Verdict::Benign { score } => u64::from(*score) + 1,
-    }
-}
-
-/// Every observation's verdict from one snapshot as one string — the
-/// exactness gates are string equality over this sheet.
-fn verdict_sheet(snap: &ReputationSnapshot, evals: &[EvalObservation]) -> String {
-    let mut scratch = Vec::new();
-    let mut out = String::new();
-    for e in evals {
-        out.push_str(&json::to_string(&snap.detect_with(&e.obs, &mut scratch)));
-        out.push('\n');
-    }
-    out
-}
 
 /// Precision/recall of `snap`'s flagged verdicts against ground truth.
 fn score_split(name: &str, snap: &ReputationSnapshot, evals: &[EvalObservation]) -> (String, Value) {
@@ -161,7 +83,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
 
-    let queries_per_kind = if quick { 2_000 } else { 100_000 };
     let mut config = PipelineConfig::small(0x5EAC_DE7);
     if quick {
         config.world.n_publishers = 250;
@@ -218,48 +139,6 @@ fn main() {
     }
     let snap = seen_daemon.handle().snapshot();
     let held_snap = held_daemon.handle().snapshot();
-    let det = snap.detector();
-
-    // ── Exactness gate (before any timing) ────────────────────────────
-    // 1. Worker-count identity: the detector rebuilt over the snapshot's
-    //    columns at 1/2/8 workers returns byte-identical verdict sheets.
-    let sheet = verdict_sheet(&snap, &evals);
-    let mut scratch = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let rebuilt = Detector::from_columns_parallel(
-            det.hashes(),
-            det.assignments(),
-            *det.config(),
-            workers,
-        );
-        let mut out = String::new();
-        for e in &evals {
-            out.push_str(&json::to_string(&rebuilt.detect_with(&e.obs, &mut scratch)));
-            out.push('\n');
-        }
-        assert_eq!(out, sheet, "{workers}-worker detector rebuild diverged");
-    }
-    // 2. Oracle identity: served verdicts equal the naive linear scan.
-    let oracle_cap = evals.len().min(300);
-    for e in &evals[..oracle_cap] {
-        assert_eq!(
-            json::to_string(&snap.detect_with(&e.obs, &mut scratch)),
-            json::to_string(&linear_verdict(det.hashes(), det.assignments(), det.config(), &e.obs)),
-            "served verdict diverged from the linear-scan oracle"
-        );
-    }
-    // 3. Snapshot/resume identity: a resumed daemon serves the same sheet.
-    let resumed = Daemon::from_json(&seen_daemon.to_json()).expect("snapshot parses");
-    assert_eq!(
-        verdict_sheet(&resumed.handle().snapshot(), &evals),
-        sheet,
-        "resumed daemon verdicts diverged"
-    );
-    println!(
-        "exactness check: 1/2/8-worker builds, linear oracle ({oracle_cap} probes) and \
-         snapshot/resume all byte-identical over {} observations\n",
-        evals.len(),
-    );
 
     // ── Detection quality ─────────────────────────────────────────────
     let seen_eval = score_split("seen", &snap, &evals);
@@ -271,85 +150,6 @@ fn main() {
         .copied()
         .collect();
     let held_eval = score_split("held_out", &held_snap, &held_evals);
-    println!();
-
-    // ── Latency (one core, allocation-free detect path) ───────────────
-    // Probe pools per verdict kind, each verified to actually classify as
-    // its kind before timing.
-    let mut rng = Rng::new(0x5EAC_DE7E);
-    let assigned: Vec<Dhash> = det
-        .hashes()
-        .iter()
-        .zip(det.assignments())
-        .filter(|(_, a)| a.is_some())
-        .map(|(&h, _)| h)
-        .collect();
-    assert!(!assigned.is_empty(), "no campaign-assigned points in the index");
-    let base = det.config().base_radius();
-    let strong = PageSignals { scam_phone: true, survey_gateway: true, ..PageSignals::default() };
-    let mut pool = |want: &str, make: &mut dyn FnMut(&mut Rng) -> PageObservation| {
-        let mut out = Vec::new();
-        let mut tries = 0;
-        while out.len() < 1024 && tries < 100_000 {
-            tries += 1;
-            let obs = make(&mut rng);
-            if snap.detect(&obs).kind() == want {
-                out.push(obs);
-            }
-        }
-        assert!(!out.is_empty(), "could not build a {want} probe pool");
-        out
-    };
-    // Url-style hits: a 1-bit perturbation of an indexed campaign page —
-    // the page-load a milking URL or a re-crawl would produce.
-    let campaign_pool = pool("campaign", &mut |r| PageObservation {
-        dhash: Dhash(r.pick(&assigned).0 ^ (1u128 << r.below(128))),
-        signals: PageSignals::default(),
-    });
-    let near_pool = pool("near_campaign", &mut |r| {
-        let mut h = r.pick(&assigned).0;
-        // base+2 distinct low bits flipped: outside the base ball, inside
-        // the escalated one (unless another assigned point is closer —
-        // the pool filter rejects those probes).
-        for b in 0..base + 2 {
-            h ^= 1u128 << b;
-        }
-        let _ = r.below(2);
-        PageObservation { dhash: Dhash(h), signals: PageSignals::default() }
-    });
-    let suspicious_pool = pool("suspicious", &mut |r| PageObservation {
-        dhash: Dhash(r.u128()),
-        signals: strong,
-    });
-    let benign_pool = pool("benign", &mut |r| PageObservation {
-        dhash: Dhash(r.u128()),
-        signals: PageSignals::default(),
-    });
-
-    println!(
-        "detect latency over {} points ({} assigned), {queries_per_kind} queries/kind:",
-        snap.resident_points(),
-        assigned.len(),
-    );
-    let mut kinds = Vec::new();
-    let mut all_ns: Vec<u64> = Vec::new();
-    let mut all_total = 0u64;
-    for (name, pool) in [
-        ("campaign_hit", &campaign_pool),
-        ("near_campaign", &near_pool),
-        ("suspicious", &suspicious_pool),
-        ("benign", &benign_pool),
-    ] {
-        let (total, samples) = time_kind(queries_per_kind, |i| {
-            verdict_word(&snap.detect_with(&pool[i % pool.len()], &mut scratch))
-        });
-        kinds.push(kind_stats(name, total, &samples));
-        all_ns.extend(&samples);
-        all_total += total;
-    }
-    all_ns.sort_unstable();
-    let (_, overall) = kind_stats("overall", all_total, &all_ns);
-    let overall_qps = all_ns.len() as f64 / (all_total as f64 / 1e9);
 
     if let Some(path) = json_path {
         let doc = Value::Obj(vec![
@@ -361,29 +161,17 @@ fn main() {
                     ("resident_points".into(), Value::UInt(snap.resident_points() as u128)),
                     ("campaigns".into(), Value::UInt(ids.len() as u128)),
                     ("held_out_campaigns".into(), Value::UInt(held_out.len() as u128)),
-                    ("queries_per_kind".into(), Value::UInt(queries_per_kind as u128)),
+                    // Constants of the retired latency half, kept so this
+                    // block diffs byte for byte against the
+                    // BENCH_detect.json history it continues.
+                    ("queries_per_kind".into(), Value::UInt(100_000)),
                     ("threads".into(), Value::UInt(1)),
                 ]),
             ),
-            (
-                "exactness".into(),
-                Value::Obj(vec![
-                    ("worker_counts".into(), Value::Arr(vec![
-                        Value::UInt(1),
-                        Value::UInt(2),
-                        Value::UInt(8),
-                    ])),
-                    ("oracle_probes".into(), Value::UInt(oracle_cap as u128)),
-                    ("snapshot_resume_byte_identical".into(), Value::Bool(true)),
-                    ("identical_to_oracle".into(), Value::Bool(true)),
-                ]),
-            ),
             ("eval".into(), Value::Obj(vec![seen_eval, held_eval])),
-            ("kinds".into(), Value::Obj(kinds)),
-            ("overall".into(), overall),
         ]);
         std::fs::write(&path, json::to_string_pretty(&doc) + "\n")
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("\nwrote {path} (overall {overall_qps:.0} qps on one core)");
+        println!("\nwrote {path}");
     }
 }

@@ -1,10 +1,11 @@
 //! # seacma-bench
 //!
-//! The benchmark/experiment harness: one binary per table and figure of
-//! the paper's evaluation (see `src/bin/`), plus microbenchmarks on the
-//! in-tree `seacma_util::bench` harness (see `benches/`).
+//! The experiment harness: one binary per table and figure of the
+//! paper's evaluation, plus `detect_eval`, the online detector's
+//! held-out quality evaluation (see `src/bin/`). Timing is not measured
+//! here — that is `benchmark/` at the repository root.
 //!
-//! Every binary accepts the same flags:
+//! Every table/figure binary accepts the same flags:
 //!
 //! ```text
 //! --seed N          world seed                      (default 0x5EACA201)

@@ -21,9 +21,9 @@ pub struct PipelineConfig {
     pub schedule: CrawlSchedule,
     /// Browser/OS profiles to crawl with (paper: all four).
     pub uas: Vec<UaProfile>,
-    /// Worker threads for the parallel stages — crawl farm, screenshot
-    /// clustering and the milking simulate phase (0 ⇒ available
-    /// parallelism). All three are byte-identical at any worker count.
+    /// Worker threads for the two sharded stages — the crawl farm and the
+    /// milking simulate phase (0 ⇒ available parallelism). Both are
+    /// byte-identical at any worker count; clustering is sequential.
     pub workers: usize,
     /// Fraction of the residential (cloaking-network) pool actually
     /// visited — the paper managed 11,182 of 34,068 sites over

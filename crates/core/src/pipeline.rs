@@ -22,8 +22,8 @@ use crate::newnet::{discover_networks, NewNetworkDiscovery};
 /// Output of the crawl phase alone (stages ②–③): the reversed pools and
 /// the merged dataset, before clustering. Produced by
 /// [`Pipeline::crawl_phase`], consumed by [`Pipeline::cluster_phase`] —
-/// the split exists so the end-to-end bench can time the two phases
-/// separately; [`Pipeline::discover`] composes them.
+/// the split exists so the benchmark can time the two phases separately;
+/// [`Pipeline::discover`] composes them.
 pub struct CrawlPhase {
     /// Seed publisher pool from pattern reversal, institutional part.
     pub institutional_pool: Vec<PublisherId>,
@@ -199,9 +199,8 @@ impl Pipeline {
         (institutional, residential)
     }
 
-    /// Stages ②–③ only: reversal plus both vantage crawls. The crawl
-    /// phase of the end-to-end bench; [`Pipeline::cluster_phase`]
-    /// completes it into a [`DiscoveryOutput`].
+    /// Stages ②–③ only: reversal plus both vantage crawls.
+    /// [`Pipeline::cluster_phase`] completes it into a [`DiscoveryOutput`].
     pub fn crawl_phase(&self) -> CrawlPhase {
         let (institutional_pool, residential_pool) = self.reverse_publishers();
 
@@ -240,7 +239,8 @@ impl Pipeline {
     }
 
     /// Stages ④–⑤ + ⑦ over a finished crawl: clustering, labeling,
-    /// attribution.
+    /// attribution. Runs on the calling thread; `config.workers` drives
+    /// the crawl farm and milking only.
     pub fn cluster_phase(&self, phase: CrawlPhase) -> DiscoveryOutput {
         let CrawlPhase { institutional_pool, residential_pool, residential_visited, crawl } =
             phase;
@@ -250,16 +250,16 @@ impl Pipeline {
         let landings: Vec<&LandingRecord> = crawl.landings().collect();
         let dhashes: Vec<Dhash> = landings.iter().map(|l| l.dhash).collect();
         let e2lds: Vec<Sym> = landings.iter().map(|l| l.landing_e2ld).collect();
-        // Indexed + parallel clustering: same labels as the sequential
-        // naive path (the index is exact and workers only precompute
-        // neighbour lists), so sharing `config.workers` with the crawl
-        // farm cannot change any downstream table.
+        // Indexed clustering: same labels as the naive O(n²) scan (the
+        // index is exact). Clustering is sequential — `config.workers`
+        // drives the crawl farm and milking only — so the trailing
+        // argument, which the callee ignores, is a plain 1.
         let clusters = cluster_sym_columns_parallel(
             &dhashes,
             &e2lds,
             &self.arena.read(),
             self.config.clustering,
-            self.config.workers,
+            1,
         );
 
         // Ground-truth labeling (the paper's manual step).
@@ -351,8 +351,8 @@ impl Pipeline {
 
     /// The per-epoch crawl batches as `(dhash, e2LD-symbol)` column pairs
     /// — the zero-string variant of [`Pipeline::crawl_epoch_batches`] for
-    /// consumers sharing the world arena ([`Pipeline::track`], the e2e
-    /// bench). Symbols resolve via [`Pipeline::arena`].
+    /// consumers sharing the world arena ([`Pipeline::track`], the
+    /// benchmark). Symbols resolve via [`Pipeline::arena`].
     pub fn crawl_epoch_sym_batches(&self, discovery: &DiscoveryOutput) -> Vec<Vec<(Dhash, Sym)>> {
         discovery
             .crawl
@@ -493,10 +493,9 @@ impl Pipeline {
         vt: &mut VirusTotal,
     ) -> MilkingOutcome {
         let mut gsb = GsbService::new(&self.world);
-        // Parallel simulate/merge milking shares `config.workers` with the
-        // crawl farm and the clustering stage; like those stages, its
-        // output is byte-identical at any worker count, so no downstream
-        // table can change.
+        // Simulate/merge milking shares `config.workers` with the crawl
+        // farm; like the farm's, its output is byte-identical at any
+        // worker count, so no downstream table can change.
         Milker::new(&self.world, self.config.milking).run_parallel(
             sources,
             &mut gsb,

@@ -193,7 +193,7 @@ impl<'w> CrawlFarm<'w> {
         // Canonicalize: walk visits in job order and re-intern every
         // record symbol into the shared arena. Within a record the
         // publisher domain precedes the landing e2LD — the same order
-        // `visit_publisher` interns in — so the canonical arena's
+        // `visit_publisher_reusing` interns in — so the canonical arena's
         // first-seen order equals a sequential crawl's.
         slots
             .into_iter()

@@ -32,4 +32,4 @@ pub mod visit;
 
 pub use farm::{CrawlFarm, CrawlSchedule};
 pub use record::{CrawlDataset, LandingRecord, SiteVisit};
-pub use visit::{visit_publisher, visit_publisher_reusing, CrawlPolicy, VisitScratch};
+pub use visit::{visit_publisher_reusing, CrawlPolicy, VisitScratch};

@@ -28,6 +28,24 @@ impl Default for CrawlPolicy {
     }
 }
 
+/// Reusable per-worker buffers for [`visit_publisher_reusing`]: the
+/// browser event log and the backtracking graph, both recycled (cleared,
+/// capacity kept) across every visit a crawl worker performs. A fresh
+/// scratch and a many-times-reused scratch produce byte-identical visit
+/// records.
+#[derive(Default)]
+pub struct VisitScratch {
+    log: EventLog,
+    graph: BacktrackGraph,
+}
+
+impl VisitScratch {
+    /// Empty scratch buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Visits one publisher with one browser configuration, returning the
 /// visit record.
 ///
@@ -48,52 +66,13 @@ impl Default for CrawlPolicy {
 /// is load-bearing — the farm reproduces it when canonicalizing worker
 /// scratch arenas, so the canonical symbol assignment is independent of
 /// worker count.
-pub fn visit_publisher(
-    world: &World,
-    publisher: &PublisherSite,
-    config: BrowserConfig,
-    start: SimTime,
-    policy: CrawlPolicy,
-    cache: Option<&RenderCache>,
-    arena: &mut SymbolArena,
-) -> SiteVisit {
-    visit_publisher_reusing(
-        world,
-        publisher,
-        config,
-        start,
-        policy,
-        cache,
-        arena,
-        &mut VisitScratch::new(),
-    )
-}
-
-/// Reusable per-worker buffers for [`visit_publisher_reusing`]: the
-/// browser event log and the backtracking graph, both recycled (cleared,
-/// capacity kept) across every visit a crawl worker performs. A fresh
-/// scratch and a many-times-reused scratch produce byte-identical visit
-/// records.
-#[derive(Default)]
-pub struct VisitScratch {
-    log: EventLog,
-    graph: BacktrackGraph,
-}
-
-impl VisitScratch {
-    /// Empty scratch buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// [`visit_publisher`] with an explicit scratch: the visit's browser
-/// session recycles `scratch`'s event log and the landing analyses its
-/// backtracking graph, leaving both behind for the caller's next visit.
-/// The record is byte-identical to `visit_publisher`'s — cleared buffers
-/// are observationally fresh ones — so the farm threads one scratch
-/// through each worker's whole job stream and per-visit log/graph
-/// allocations amortize away.
+///
+/// `scratch` lends the visit its event log and backtracking graph and
+/// gets both back for the caller's next visit. Cleared buffers are
+/// observationally fresh ones, so the record is byte-identical whether
+/// `scratch` is new or many-times-reused; the farm threads one through
+/// each worker's whole job stream and per-visit log/graph allocations
+/// amortize away.
 #[allow(clippy::too_many_arguments)]
 pub fn visit_publisher_reusing(
     world: &World,
@@ -230,13 +209,26 @@ mod tests {
         BrowserConfig::instrumented(UaProfile::ChromeMac, Vantage::Residential)
     }
 
+    /// One visit on fresh scratch buffers.
+    fn visit_fresh(
+        w: &World,
+        p: &PublisherSite,
+        config: BrowserConfig,
+        start: SimTime,
+        policy: CrawlPolicy,
+        cache: Option<&RenderCache>,
+        arena: &mut SymbolArena,
+    ) -> SiteVisit {
+        visit_publisher_reusing(w, p, config, start, policy, cache, arena, &mut VisitScratch::new())
+    }
+
     #[test]
     fn visit_collects_third_party_landings() {
         let w = world();
         let mut arena = SymbolArena::new();
         let mut total = 0;
         for p in w.publishers().iter().take(40) {
-            let v = visit_publisher(
+            let v = visit_fresh(
                 &w, p, cfg(), SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena,
             );
             assert!(!v.load_failed);
@@ -257,7 +249,7 @@ mod tests {
         let mut arena = SymbolArena::new();
         let policy = CrawlPolicy { max_ads: 2, ..Default::default() };
         for p in w.publishers().iter().take(20) {
-            let v = visit_publisher(&w, p, cfg(), SimTime::EPOCH, policy, None, &mut arena);
+            let v = visit_fresh(&w, p, cfg(), SimTime::EPOCH, policy, None, &mut arena);
             assert!(v.landings.len() <= 2);
         }
     }
@@ -270,8 +262,8 @@ mod tests {
         let p = &w.publishers()[3];
         let mut arena_a = SymbolArena::new();
         let mut arena_b = SymbolArena::new();
-        let a = visit_publisher(&w, p, cfg(), SimTime(500), CrawlPolicy::default(), None, &mut arena_a);
-        let b = visit_publisher(&w, p, cfg(), SimTime(500), CrawlPolicy::default(), None, &mut arena_b);
+        let a = visit_fresh(&w, p, cfg(), SimTime(500), CrawlPolicy::default(), None, &mut arena_a);
+        let b = visit_fresh(&w, p, cfg(), SimTime(500), CrawlPolicy::default(), None, &mut arena_b);
         assert_eq!(a, b);
         assert_eq!(arena_a.strings().to_vec(), arena_b.strings().to_vec());
     }
@@ -287,10 +279,10 @@ mod tests {
         let mut arena_full = SymbolArena::new();
         let mut arena_fast = SymbolArena::new();
         for p in w.publishers().iter().take(30) {
-            let full = visit_publisher(
+            let full = visit_fresh(
                 &w, p, cfg(), SimTime(77), CrawlPolicy::default(), None, &mut arena_full,
             );
-            let fast = visit_publisher(
+            let fast = visit_fresh(
                 &w,
                 p,
                 cfg().hash_screenshots(),
@@ -312,7 +304,7 @@ mod tests {
         let mut attacks = 0;
         for p in w.publishers().iter().take(120) {
             let v =
-                visit_publisher(&w, p, cfg(), SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena);
+                visit_fresh(&w, p, cfg(), SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena);
             for l in &v.landings {
                 if l.truth_is_attack {
                     attacks += 1;
@@ -339,7 +331,7 @@ mod tests {
         let mut arena_reuse = SymbolArena::new();
         let mut scratch = VisitScratch::new();
         for p in w.publishers().iter().take(40) {
-            let fresh = visit_publisher(
+            let fresh = visit_fresh(
                 &w, p, cfg(), SimTime(250), CrawlPolicy::default(), None, &mut arena_fresh,
             );
             let reused = visit_publisher_reusing(
@@ -359,7 +351,7 @@ mod tests {
         let mut arena = SymbolArena::new();
         let cfg = BrowserConfig::stock_automation(UaProfile::Ie10Windows, Vantage::Residential);
         for p in w.publishers().iter().take(30) {
-            let v = visit_publisher(&w, p, cfg, SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena);
+            let v = visit_fresh(&w, p, cfg, SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena);
             assert!(v.clicks > 0 || v.load_failed);
         }
     }

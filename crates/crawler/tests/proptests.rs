@@ -13,7 +13,9 @@
 //!    time in index order) byte for byte.
 
 use seacma_browser::RenderCache;
-use seacma_crawler::{visit_publisher, CrawlDataset, CrawlFarm, CrawlPolicy, CrawlSchedule};
+use seacma_crawler::{
+    visit_publisher_reusing, CrawlDataset, CrawlFarm, CrawlPolicy, CrawlSchedule, VisitScratch,
+};
 use seacma_simweb::{
     PublisherId, SimDuration, SimTime, UaProfile, Vantage, VisualTemplate, World, WorldConfig,
 };
@@ -93,7 +95,7 @@ fn reference_crawl(
         let pass = CrawlSchedule { start: pass_start, ..schedule };
         for (idx, p) in publishers.iter().enumerate() {
             let site = &world.publishers()[p.0 as usize];
-            visits.push(visit_publisher(
+            visits.push(visit_publisher_reusing(
                 world,
                 site,
                 config,
@@ -101,6 +103,7 @@ fn reference_crawl(
                 CrawlPolicy::default(),
                 None,
                 arena,
+                &mut VisitScratch::new(),
             ));
         }
         pass_start = pass.pass_end(publishers.len());

@@ -14,12 +14,13 @@
 //!
 //! - [`Daemon::close_epoch`] freezes the tracker boundary into a
 //!   [`ReputationSnapshot`] and publishes it into the [`SnapshotCell`]
-//!   with a pointer swap — the only writer/reader synchronization point,
-//!   held for nanoseconds;
-//! - [`QueryHandle`] (cloneable, `Send + Sync`) answers every query
-//!   lock-free against the snapshot it loaded, so reads **never block on
-//!   an in-flight epoch** and a mid-epoch query answers exactly as of the
-//!   last closed boundary;
+//!   with a pointer swap under a briefly-held write lock — the only
+//!   writer/reader synchronization point (the superseded snapshot is
+//!   dropped after the lock is released);
+//! - [`QueryHandle`] (cloneable, `Send + Sync`) clones the published
+//!   `Arc` under a briefly-held read lock and answers from that frozen
+//!   snapshot, so reads **never block on an in-flight epoch** and a
+//!   mid-epoch query answers exactly as of the last closed boundary;
 //! - each snapshot also carries a frozen
 //!   [`Detector`](seacma_detect::Detector) view, so
 //!   [`QueryHandle::detect`] scores whole page-load observations (dhash +
@@ -31,9 +32,9 @@
 //!
 //! Exactness is checked the same way the tracker itself is gated: the
 //! [`offline`] oracle rebuilds every epoch's snapshot from **batch**
-//! primitives only, and the property suites plus the `query_scaling`
-//! bench require the daemon's served answers to be byte-identical to the
-//! oracle's before any throughput number is reported.
+//! primitives only, and the property suites plus the benchmark's serve
+//! workloads require the daemon's served answers to be byte-identical to
+//! the oracle's before any throughput number is reported.
 //!
 //! ```
 //! use seacma_daemon::{Daemon, UrlVerdict};

@@ -4,8 +4,8 @@
 //! [`ReputationSnapshot`](crate::snapshot::ReputationSnapshot), and every
 //! type here serializes to canonical JSON via `seacma-util` — equal answers
 //! are byte-identical strings, which is how the exactness gates (the
-//! property suites and `query_scaling`) compare the daemon against the
-//! offline batch pipeline.
+//! property suites and the benchmark's serve workloads) compare the daemon
+//! against the offline batch pipeline.
 
 use seacma_tracker::{CampaignRecord, LifeState};
 use seacma_util::sym::SymbolArena;

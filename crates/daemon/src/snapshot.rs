@@ -3,10 +3,10 @@
 //! The daemon's read path never blocks on an in-flight epoch: every epoch
 //! close builds a fresh immutable [`ReputationSnapshot`] and publishes it
 //! into the [`SnapshotCell`] with a pointer swap. Readers clone the `Arc`
-//! under a read lock held for nanoseconds, then answer any number of
-//! queries lock-free against the frozen snapshot — a query that started
-//! against snapshot `N` keeps answering from snapshot `N` even while
-//! snapshot `N + 1` is being built and published.
+//! under a briefly-held read lock, then answer any number of queries
+//! against the frozen snapshot without touching the cell again — a query
+//! that started against snapshot `N` keeps answering from snapshot `N`
+//! even while snapshot `N + 1` is being built and published.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -300,7 +300,7 @@ impl SnapshotCell {
     }
 
     /// The current snapshot. The read lock is held only for the `Arc`
-    /// clone; queries run lock-free afterwards.
+    /// clone; queries against the returned snapshot take no lock.
     pub fn load(&self) -> Arc<ReputationSnapshot> {
         self.slot.read().expect("snapshot cell poisoned").clone()
     }
@@ -308,7 +308,15 @@ impl SnapshotCell {
     /// Atomically replaces the current snapshot. In-flight readers keep
     /// their `Arc` to the previous snapshot; new loads see `snapshot`.
     pub fn publish(&self, snapshot: ReputationSnapshot) {
-        *self.slot.write().expect("snapshot cell poisoned") = Arc::new(snapshot);
+        let next = Arc::new(snapshot);
+        let superseded = {
+            let mut slot = self.slot.write().expect("snapshot cell poisoned");
+            std::mem::replace(&mut *slot, next)
+        };
+        // Dropped only now, with the write lock released: when this was the
+        // last reference, tearing down a whole snapshot (milliseconds at
+        // 50k points) must not block every `load()`.
+        drop(superseded);
     }
 }
 
@@ -376,9 +384,10 @@ impl QueryHandle {
     }
 
     /// Online page-load detection, per [`ReputationSnapshot::detect`] —
-    /// the daemon's second, harder workload class. Lock-free like every
-    /// other query: the handle loads the published snapshot once and
-    /// scores against its frozen detector.
+    /// the daemon's second, harder workload class. Like every other
+    /// query, the handle loads the published snapshot once (an `Arc` clone
+    /// under a briefly-held read lock) and scores against its frozen
+    /// detector.
     pub fn detect(&self, obs: &PageObservation) -> Verdict {
         self.snapshot().detect(obs)
     }

@@ -177,22 +177,10 @@ impl Detector {
         assignments: &[Option<u32>],
         config: DetectorConfig,
     ) -> Self {
-        Self::from_columns_parallel(hashes, assignments, config, 1)
-    }
-
-    /// [`Detector::from_columns`] with the index build sharded across
-    /// `workers` scoped threads. The result is identical for every worker
-    /// count — the acceptance gate the bench re-checks at 1/2/8.
-    pub fn from_columns_parallel(
-        hashes: &[Dhash],
-        assignments: &[Option<u32>],
-        config: DetectorConfig,
-        workers: usize,
-    ) -> Self {
         let mut assignments = assignments.to_vec();
         assignments.resize(hashes.len(), None);
         Detector {
-            index: HammingIndex::build_radius_parallel(hashes, config.escalated_radius(), workers),
+            index: HammingIndex::build_radius(hashes, config.escalated_radius()),
             assignments,
             config,
         }
@@ -331,25 +319,6 @@ mod tests {
         let assign = vec![Some(9), Some(5)];
         let d = Detector::from_columns(&hashes, &assign, DetectorConfig::default());
         assert_eq!(d.detect(&obs(0)), Verdict::Campaign { campaign: 9, distance: 1, score: 0 });
-    }
-
-    #[test]
-    fn parallel_build_detects_identically() {
-        use seacma_util::prop::Rng;
-        let mut rng = Rng::new(0xDE7EC7);
-        let base = rng.u128();
-        let hashes: Vec<Dhash> = (0..400)
-            .map(|i| if i % 3 == 0 { Dhash(base ^ (1u128 << (i % 11))) } else { Dhash(rng.u128()) })
-            .collect();
-        let assign: Vec<Option<u32>> =
-            (0..400).map(|i| if i % 2 == 0 { Some(i as u32 % 5) } else { None }).collect();
-        let cfg = DetectorConfig::default();
-        let seq = Detector::from_columns(&hashes, &assign, cfg);
-        let par = Detector::from_columns_parallel(&hashes, &assign, cfg, 8);
-        for i in 0..64 {
-            let probe = obs(base ^ ((1u128 << (i % 19)) - 1));
-            assert_eq!(seq.detect(&probe), par.detect(&probe), "probe {i}");
-        }
     }
 
     #[test]

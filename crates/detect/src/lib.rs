@@ -28,13 +28,14 @@
 //!   `Suspicious` / `Benign`.
 //! * [`oracle::linear_verdict`] — an independent naive O(n) scan
 //!   implementing the same contract; the exactness harness pins the
-//!   indexed detector byte-identical to it across insertion orders,
-//!   worker counts and snapshot/resume.
+//!   indexed detector byte-identical to it across insertion orders and
+//!   snapshot/resume.
 //!
 //! Every stage is deterministic and allocation-free on the hot path
 //! ([`Detector::detect_with`] reuses a caller scratch buffer), so the
-//! daemon can serve `detect` queries lock-free from an epoch-published
-//! snapshot at six-figure QPS.
+//! daemon can serve `detect` queries from an epoch-published snapshot
+//! (one `Arc` clone under a briefly-held read lock per query) at
+//! six-figure QPS.
 
 #![deny(missing_docs)]
 

@@ -1,8 +1,8 @@
 //! The two-implementation oracle: a naive linear scan with the same
 //! verdict contract as the indexed [`Detector`](crate::Detector).
 //!
-//! The exactness harness ("forall insertion orders, worker counts,
-//! snapshot/resume: verdicts are byte-identical") is only meaningful if
+//! The exactness harness ("forall insertion orders, snapshot/resume:
+//! verdicts are byte-identical") is only meaningful if
 //! the reference implementation shares *no* code with the thing under
 //! test beyond the scoring weights. This scan touches every point with a
 //! plain XOR+popcount, picks the nearest campaign-assigned one with the
@@ -17,8 +17,8 @@ use crate::feature::PageObservation;
 
 /// Scores `obs` against the raw columns by exhaustive scan. Byte-for-byte
 /// equal to [`Detector::detect`](crate::Detector::detect) over the same
-/// columns and config — the exactness gate both the forall suite and the
-/// `detect_eval` bench enforce before trusting any timing.
+/// columns and config — the exactness gate the forall suite
+/// (`tests/detect_exactness.rs`) and the benchmark's serve workloads enforce.
 ///
 /// ```
 /// use seacma_detect::oracle::linear_verdict;

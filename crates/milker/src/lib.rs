@@ -18,15 +18,14 @@
 //! 4. interacts with landing pages, harvesting the polymorphic binaries
 //!    and driving the VirusTotal submit → wait → rescan flow.
 //!
-//! The production scheduler entry point is
+//! The scheduler entry point is
 //! [`Milker::run_parallel`](scheduler::Milker::run_parallel): per-source
 //! timelines are simulated on worker threads (every session is a pure
 //! function of `(seed, url, ua, time)`) and a sequential merge sweep
-//! applies all cross-source state in the sequential scheduler's own
-//! iteration order, so the outcome is byte-identical at any worker count.
-//! [`Milker::run`](scheduler::Milker::run) remains the one-thread
-//! reference path the invariance tests and the scaling bench compare
-//! against.
+//! applies all cross-source state in time-major `(tick, source)` order,
+//! so the outcome is byte-identical at any worker count. The one-thread
+//! session-by-session scheduler it replaced lives on as the test-only
+//! reference in `scheduler.rs` that the invariance tests compare against.
 
 #![deny(missing_docs)]
 

@@ -109,7 +109,7 @@ pub(crate) fn merge_timelines(
     out
 }
 
-/// Closed form of [`Milker::poll_gsb`](crate::Milker): the 30-minute
+/// Closed form of the reference scheduler's `poll_gsb` loop: the 30-minute
 /// polling grid through the lookup tail collapses to
 /// [`GsbService::first_listed_poll`], and the late final lookup collapses
 /// to one listing-time comparison. Loop ≡ closed form is pinned by

@@ -5,19 +5,18 @@
 //! attack domains, driving GSB lookups on the measured cadence and
 //! harvesting downloads into the VirusTotal flow.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use seacma_util::{impl_json_struct, resolve_workers};
 
 use seacma_blacklist::{GsbService, VirusTotal};
-use seacma_browser::{BrowserConfig, BrowserSession, RenderCache};
-use seacma_simweb::{ClickAction, SimDuration, SimTime, Url, Vantage, World};
-use seacma_vision::dhash::{dhash128, hamming};
+use seacma_browser::RenderCache;
+use seacma_simweb::{SimDuration, SimTime, Url, World};
 
 use crate::downloads::MilkedFile;
-use crate::sources::{MilkingSource, MATCH_THRESHOLD};
+use crate::sources::MilkingSource;
 
 /// Milking cadence and measurement windows (§4.2, §4.5 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,157 +143,19 @@ impl<'w> Milker<'w> {
     }
 
     /// Runs the full milking experiment over `sources` starting at
-    /// `start`, using the provided GSB and VirusTotal services.
-    ///
-    /// This is the sequential reference path: one thread, one session per
-    /// `(tick, source)` in time-major order, GSB polled lookup by lookup.
-    /// Production callers use [`run_parallel`](Self::run_parallel), which
-    /// produces a byte-identical [`MilkingOutcome`] (pinned by the
-    /// thread-count-invariance tests and the scaling bench's exactness
-    /// gate); this path stays as the semantics oracle both are measured
-    /// against.
-    pub fn run(
-        &self,
-        sources: &[MilkingSource],
-        gsb: &mut GsbService<'_>,
-        vt: &mut VirusTotal,
-        start: SimTime,
-    ) -> MilkingOutcome {
-        let mut out = MilkingOutcome::default();
-        let mut seen_domains: HashSet<String> = HashSet::new();
-        let mut seen_hashes: HashSet<u128> = HashSet::new();
-        // Membership sets backing the first-seen-ordered side-channel
-        // vectors (the vectors alone would make dedup O(n²)).
-        let mut phone_set: HashSet<String> = HashSet::new();
-        let mut gateway_set: HashSet<Url> = HashSet::new();
-        // Per-source session configuration is tick-invariant.
-        let configs: Vec<BrowserConfig> = sources
-            .iter()
-            .map(|src| {
-                BrowserConfig::instrumented(src.ua, Vantage::Residential).without_screenshots()
-            })
-            .collect();
-        let end = start + self.config.duration;
-
-        // Round-robin over time: all sources are milked once per period.
-        let mut t = start;
-        while t < end {
-            for (idx, src) in sources.iter().enumerate() {
-                out.sessions += 1;
-                let mut session = BrowserSession::new(self.world, configs[idx], t);
-                let Ok(loaded) = session.navigate(&src.url) else {
-                    continue;
-                };
-                let domain = loaded.url.e2ld();
-                if seen_domains.contains(&domain) {
-                    continue;
-                }
-                // Never-before-seen domain: verify it still shows the
-                // campaign's attack before counting it.
-                let shot = session.render_screenshot(&loaded.url, &loaded.page);
-                if hamming(dhash128(&shot), src.reference) > MATCH_THRESHOLD {
-                    continue;
-                }
-                seen_domains.insert(domain.clone());
-                out.timelines.entry(idx).or_default().push((t, domain.clone()));
-
-                // Intelligence side-channels: phone numbers, survey
-                // gateways and notification-permission grants.
-                if let Some(phone) = &loaded.page.scam_phone {
-                    if phone_set.insert(phone.clone()) {
-                        out.scam_phones.push((phone.clone(), t, src.cluster));
-                    }
-                }
-                if let Some(gw) = &loaded.page.survey_gateway {
-                    if gateway_set.insert(gw.clone()) {
-                        out.survey_gateways.push((gw.clone(), t, src.cluster));
-                    }
-                }
-                if loaded.page.notification_prompt {
-                    out.notification_grants.push((loaded.url.clone(), t, src.cluster));
-                }
-
-                // Interact with the landing: downloads, permission grants.
-                for el in &loaded.page.elements {
-                    if let ClickAction::Download(payload) = el.action {
-                        if seen_hashes.insert(payload.sha) {
-                            let known = vt.lookup(&payload, t).is_some();
-                            let initial = vt.submit(&payload, t);
-                            out.files.push(MilkedFile {
-                                payload,
-                                page: loaded.url.clone(),
-                                t,
-                                known_at_submit: known,
-                                initial,
-                                final_report: None,
-                            });
-                        }
-                    }
-                    let _ = session.click(&loaded.url, &el.action);
-                }
-
-                // GSB measurement for the new domain.
-                let listed_now = gsb.lookup(&domain, t).is_listed();
-                let listed_at = self.poll_gsb(gsb, &domain, t, end);
-                out.discoveries.push(DomainDiscovery {
-                    domain,
-                    landing_url: loaded.url,
-                    source_idx: idx,
-                    cluster: src.cluster,
-                    first_seen: t,
-                    gsb_listed_at_discovery: listed_now,
-                    gsb_listed_at: listed_at,
-                });
-            }
-            t += self.config.period;
-        }
-
-        // Months later: VT rescan of everything submitted.
-        for f in &mut out.files {
-            f.final_report = vt.rescan(&f.payload, f.t + self.config.vt_rescan_after);
-        }
-        out
-    }
-
-    /// Polls GSB at the configured cadence from `first_seen` through the
-    /// end of the lookup tail, then does the single late final lookup.
-    /// Returns the first time the domain was observed listed.
-    fn poll_gsb(
-        &self,
-        gsb: &mut GsbService<'_>,
-        domain: &str,
-        first_seen: SimTime,
-        milking_end: SimTime,
-    ) -> Option<SimTime> {
-        let tail_end = milking_end + self.config.lookup_tail;
-        let mut t = first_seen;
-        while t <= tail_end {
-            if gsb.lookup(domain, t).is_listed() {
-                return Some(t);
-            }
-            t += self.config.lookup_interval;
-        }
-        let final_t = first_seen + self.config.final_lookup_after;
-        if gsb.lookup(domain, final_t).is_listed() {
-            // The poll cadence stopped; report the listing time GSB would
-            // have been observed at, bounded below by the tail end.
-            let exact = gsb.listing_time(domain, first_seen)?;
-            return Some(exact.max(tail_end));
-        }
-        None
-    }
-
-    /// Runs the milking experiment with phase 1 (per-source timeline
-    /// simulation) fanned out over `workers` threads and phase 2 (the
-    /// cross-source merge sweep) on the calling thread — the same
-    /// determinism discipline as the crawl farm and the clustering stage.
+    /// `start`, using the provided GSB and VirusTotal services: phase 1
+    /// (per-source timeline simulation) fanned out over `workers` threads
+    /// and phase 2 (the cross-source merge sweep) on the calling thread —
+    /// the same determinism discipline as the crawl farm.
     ///
     /// `workers == 0` means available parallelism. The returned
-    /// [`MilkingOutcome`] is byte-identical to [`run`](Self::run) at any
-    /// worker count: workers compute only pure per-source results, and
-    /// the merge consumes them in the sequential scheduler's own
-    /// iteration order (see the module docs of the `simulate` and `merge`
-    /// modules for the elision argument).
+    /// [`MilkingOutcome`] is byte-identical at any worker count: workers
+    /// compute only pure per-source results, and the merge consumes them
+    /// in time-major `(tick, source)` order (see the module docs of the
+    /// `simulate` and `merge` modules for the elision argument). The
+    /// test-only sequential scheduler below — one session per
+    /// `(tick, source)`, GSB polled lookup by lookup — is the semantics
+    /// oracle the thread-count-invariance tests pin this against.
     pub fn run_parallel(
         &self,
         sources: &[MilkingSource],
@@ -343,9 +204,150 @@ impl<'w> Milker<'w> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
-    use crate::sources::MilkingSource;
-    use seacma_simweb::{SeCategory, UaProfile, WorldConfig};
+    use crate::sources::MATCH_THRESHOLD;
+    use seacma_browser::{BrowserConfig, BrowserSession};
+    use seacma_simweb::{ClickAction, SeCategory, UaProfile, Vantage, WorldConfig};
+    use seacma_vision::dhash::{dhash128, hamming};
+
+    impl Milker<'_> {
+        /// The sequential reference scheduler: one thread, one session
+        /// per `(tick, source)` in time-major order, GSB polled lookup by
+        /// lookup. Shares no code with the simulate/merge path, so the
+        /// invariance tests below compare two implementations.
+        fn run(
+            &self,
+            sources: &[MilkingSource],
+            gsb: &mut GsbService<'_>,
+            vt: &mut VirusTotal,
+            start: SimTime,
+        ) -> MilkingOutcome {
+            let mut out = MilkingOutcome::default();
+            let mut seen_domains: HashSet<String> = HashSet::new();
+            let mut seen_hashes: HashSet<u128> = HashSet::new();
+            // Membership sets backing the first-seen-ordered side-channel
+            // vectors (the vectors alone would make dedup O(n²)).
+            let mut phone_set: HashSet<String> = HashSet::new();
+            let mut gateway_set: HashSet<Url> = HashSet::new();
+            // Per-source session configuration is tick-invariant.
+            let configs: Vec<BrowserConfig> = sources
+                .iter()
+                .map(|src| {
+                    BrowserConfig::instrumented(src.ua, Vantage::Residential).without_screenshots()
+                })
+                .collect();
+            let end = start + self.config.duration;
+
+            // Round-robin over time: all sources are milked once per period.
+            let mut t = start;
+            while t < end {
+                for (idx, src) in sources.iter().enumerate() {
+                    out.sessions += 1;
+                    let mut session = BrowserSession::new(self.world, configs[idx], t);
+                    let Ok(loaded) = session.navigate(&src.url) else {
+                        continue;
+                    };
+                    let domain = loaded.url.e2ld();
+                    if seen_domains.contains(&domain) {
+                        continue;
+                    }
+                    // Never-before-seen domain: verify it still shows the
+                    // campaign's attack before counting it.
+                    let shot = session.render_screenshot(&loaded.url, &loaded.page);
+                    if hamming(dhash128(&shot), src.reference) > MATCH_THRESHOLD {
+                        continue;
+                    }
+                    seen_domains.insert(domain.clone());
+                    out.timelines.entry(idx).or_default().push((t, domain.clone()));
+
+                    // Intelligence side-channels: phone numbers, survey
+                    // gateways and notification-permission grants.
+                    if let Some(phone) = &loaded.page.scam_phone {
+                        if phone_set.insert(phone.clone()) {
+                            out.scam_phones.push((phone.clone(), t, src.cluster));
+                        }
+                    }
+                    if let Some(gw) = &loaded.page.survey_gateway {
+                        if gateway_set.insert(gw.clone()) {
+                            out.survey_gateways.push((gw.clone(), t, src.cluster));
+                        }
+                    }
+                    if loaded.page.notification_prompt {
+                        out.notification_grants.push((loaded.url.clone(), t, src.cluster));
+                    }
+
+                    // Interact with the landing: downloads, permission grants.
+                    for el in &loaded.page.elements {
+                        if let ClickAction::Download(payload) = el.action {
+                            if seen_hashes.insert(payload.sha) {
+                                let known = vt.lookup(&payload, t).is_some();
+                                let initial = vt.submit(&payload, t);
+                                out.files.push(MilkedFile {
+                                    payload,
+                                    page: loaded.url.clone(),
+                                    t,
+                                    known_at_submit: known,
+                                    initial,
+                                    final_report: None,
+                                });
+                            }
+                        }
+                        let _ = session.click(&loaded.url, &el.action);
+                    }
+
+                    // GSB measurement for the new domain.
+                    let listed_now = gsb.lookup(&domain, t).is_listed();
+                    let listed_at = self.poll_gsb(gsb, &domain, t, end);
+                    out.discoveries.push(DomainDiscovery {
+                        domain,
+                        landing_url: loaded.url,
+                        source_idx: idx,
+                        cluster: src.cluster,
+                        first_seen: t,
+                        gsb_listed_at_discovery: listed_now,
+                        gsb_listed_at: listed_at,
+                    });
+                }
+                t += self.config.period;
+            }
+
+            // Months later: VT rescan of everything submitted.
+            for f in &mut out.files {
+                f.final_report = vt.rescan(&f.payload, f.t + self.config.vt_rescan_after);
+            }
+            out
+        }
+
+        /// Polls GSB at the configured cadence from `first_seen` through the
+        /// end of the lookup tail, then does the single late final lookup.
+        /// Returns the first time the domain was observed listed.
+        fn poll_gsb(
+            &self,
+            gsb: &mut GsbService<'_>,
+            domain: &str,
+            first_seen: SimTime,
+            milking_end: SimTime,
+        ) -> Option<SimTime> {
+            let tail_end = milking_end + self.config.lookup_tail;
+            let mut t = first_seen;
+            while t <= tail_end {
+                if gsb.lookup(domain, t).is_listed() {
+                    return Some(t);
+                }
+                t += self.config.lookup_interval;
+            }
+            let final_t = first_seen + self.config.final_lookup_after;
+            if gsb.lookup(domain, final_t).is_listed() {
+                // The poll cadence stopped; report the listing time GSB would
+                // have been observed at, bounded below by the tail end.
+                let exact = gsb.listing_time(domain, first_seen)?;
+                return Some(exact.max(tail_end));
+            }
+            None
+        }
+    }
 
     fn world() -> World {
         World::generate(WorldConfig {
@@ -393,7 +395,8 @@ mod tests {
         assert!(!sources.is_empty());
         let mut gsb = GsbService::new(&w);
         let mut vt = VirusTotal::new(1);
-        let out = Milker::new(&w, short_config()).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+        let out = Milker::new(&w, short_config())
+            .run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
         // 3 days at 10h rotation ⇒ ~8 domains per source.
         let per_source = out.discoveries.len() as f64 / sources.len() as f64;
         assert!(
@@ -409,7 +412,8 @@ mod tests {
         let sources = sources_for(&w, None);
         let mut gsb = GsbService::new(&w);
         let mut vt = VirusTotal::new(1);
-        let out = Milker::new(&w, short_config()).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+        let out = Milker::new(&w, short_config())
+            .run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
         let mut domains: Vec<&str> = out.discoveries.iter().map(|d| d.domain.as_str()).collect();
         let n = domains.len();
         domains.sort();
@@ -423,7 +427,8 @@ mod tests {
         let sources = sources_for(&w, Some(SeCategory::FakeSoftware));
         let mut gsb = GsbService::new(&w);
         let mut vt = VirusTotal::new(1);
-        let out = Milker::new(&w, short_config()).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+        let out = Milker::new(&w, short_config())
+            .run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
         assert!(!out.files.is_empty(), "fake-software milking must yield files");
         for f in &out.files {
             assert!(f.final_report.is_some(), "all files must be rescanned");
@@ -442,7 +447,8 @@ mod tests {
         let sources = sources_for(&w, None);
         let mut gsb = GsbService::new(&w);
         let mut vt = VirusTotal::new(1);
-        let out = Milker::new(&w, short_config()).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+        let out = Milker::new(&w, short_config())
+            .run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
         assert!(out.gsb_init_rate() < 0.10, "init rate {}", out.gsb_init_rate());
         assert!(out.gsb_final_rate() >= out.gsb_init_rate());
     }
@@ -453,7 +459,8 @@ mod tests {
         let sources = sources_for(&w, Some(SeCategory::FakeSoftware));
         let mut gsb = GsbService::new(&w);
         let mut vt = VirusTotal::new(1);
-        let out = Milker::new(&w, short_config()).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+        let out = Milker::new(&w, short_config())
+            .run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
         for timeline in out.timelines.values() {
             assert!(timeline.windows(2).all(|w| w[0].0 <= w[1].0));
         }
@@ -468,7 +475,8 @@ mod tests {
         }
         let mut gsb = GsbService::new(&w);
         let mut vt = VirusTotal::new(1);
-        let out = Milker::new(&w, short_config()).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+        let out = Milker::new(&w, short_config())
+            .run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
         assert!(!out.scam_phones.is_empty(), "phone numbers must be harvested");
         for (phone, _, _) in &out.scam_phones {
             assert!(phone.starts_with("+1-8"), "unexpected number format {phone}");
@@ -486,7 +494,8 @@ mod tests {
         }
         let mut gsb = GsbService::new(&w);
         let mut vt = VirusTotal::new(1);
-        let out = Milker::new(&w, short_config()).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+        let out = Milker::new(&w, short_config())
+            .run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
         assert!(!out.survey_gateways.is_empty(), "gateways must be harvested");
         for (gw, _, _) in &out.survey_gateways {
             assert!(gw.path.starts_with("/survey"));
@@ -502,7 +511,8 @@ mod tests {
         }
         let mut gsb = GsbService::new(&w);
         let mut vt = VirusTotal::new(1);
-        let out = Milker::new(&w, short_config()).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+        let out = Milker::new(&w, short_config())
+            .run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
         assert!(!out.notification_grants.is_empty());
     }
 

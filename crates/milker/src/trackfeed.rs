@@ -193,7 +193,8 @@ mod tests {
             MilkingConfig { duration: SimDuration::from_days(2), ..Default::default() };
         let mut gsb = GsbService::new(&world);
         let mut vt = VirusTotal::new(1);
-        let outcome = Milker::new(&world, config).run(&sources, &mut gsb, &mut vt, t0);
+        let outcome =
+            Milker::new(&world, config).run_parallel(&sources, &mut gsb, &mut vt, t0, 1);
         assert!(!outcome.discoveries.is_empty(), "seed world must yield discoveries");
 
         let points = discovery_points(&world, &sources, &outcome);

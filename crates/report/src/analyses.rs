@@ -7,12 +7,13 @@
 //! * [`BlacklistLag`] — GSB detection-lag CDF over milked domains (§4.2).
 //! * [`AdnetAttribution`] — per-ad-network SE attribution (Table 3).
 //! * [`ClusterSizeDistribution`] — campaign cluster sizes (§4.3).
-//! * [`BenchTrajectory`] — the checked-in `BENCH_*.json` numbers.
-//! * [`OnlineDetection`] — detector precision/recall and serving rates
-//!   from `BENCH_detect.json` (DESIGN.md §2j).
+//! * [`BenchTrajectory`] — the benchmark's checked-in baseline
+//!   (`benchmark/results/baseline.json`).
+//! * [`OnlineDetection`] — detector precision/recall from
+//!   `EVAL_detect.json` (DESIGN.md §2j).
 
 use crate::analysis::Analysis;
-use crate::inputs::ReportInputs;
+use crate::inputs::{ReportInputs, DETECT_SERIES};
 use crate::table::{Cell, Table};
 
 /// Pushes the canonical "(no data)" row: the first column carries the
@@ -258,22 +259,23 @@ impl Analysis for ClusterSizeDistribution {
     }
 }
 
-/// Bench trajectory: the checked-in `BENCH_*.json` measurements rendered
-/// as one table, so the report carries the repo's own performance story
-/// alongside the paper's.
+/// Bench trajectory: the benchmark's checked-in baseline
+/// (`benchmark/results/baseline.json`) rendered as one table — every
+/// workload × end-to-end metric median — so the report carries the repo's
+/// own performance story alongside the paper's.
 ///
 /// ```
 /// use seacma_report::{Analysis, BenchPoint, BenchTrajectory, ReportInputs};
 ///
 /// let mut inputs = ReportInputs::new(1);
 /// inputs.bench.push(BenchPoint {
-///     series: "cluster".into(),
-///     name: "cluster/indexed/10000".into(),
-///     metric: "median_ms".into(),
-///     value: 76.283,
+///     series: "pipeline-paper".into(),
+///     name: "pipeline_wall_s".into(),
+///     metric: "s".into(),
+///     value: 5.3069,
 /// });
 /// let t = BenchTrajectory.compute(&inputs);
-/// assert_eq!(t.rows()[0][3].render(), "76.283");
+/// assert_eq!(t.rows()[0][3].render(), "5.307");
 /// ```
 pub struct BenchTrajectory;
 
@@ -285,21 +287,23 @@ impl Analysis for BenchTrajectory {
         "Bench trajectory"
     }
     fn note(&self) -> &'static str {
-        "Measured medians (ms) and throughputs (QPS) from the repository's checked-in \
-         BENCH_*.json artifacts — the scaling story of the clustering, crawling, \
-         milking, tracking and query-serving fast paths."
+        "Medians of the nine end-to-end metrics on each of the five benchmark workloads, \
+         from the checked-in benchmark/results/baseline.json (regenerate with \
+         benchmark/run.sh; host facts and per-layer numbers live beside it)."
     }
     fn compute(&self, inputs: &ReportInputs) -> Table {
         let mut t = Table::new(
             self.id(),
             self.title(),
-            &["series", "benchmark", "metric", "value"],
+            &["workload", "metric", "unit", "median"],
         );
-        if inputs.bench.is_empty() {
+        let baseline: Vec<_> =
+            inputs.bench.iter().filter(|p| p.series != DETECT_SERIES).collect();
+        if baseline.is_empty() {
             push_no_data(&mut t);
             return t;
         }
-        for p in &inputs.bench {
+        for p in baseline {
             t.push([
                 Cell::text(p.series.clone()),
                 Cell::text(p.name.clone()),
@@ -311,11 +315,11 @@ impl Analysis for BenchTrajectory {
     }
 }
 
-/// Online-detection quality and serving rates: the `seacma-detect`
-/// evaluation from `BENCH_detect.json` — precision/recall on the seen and
-/// held-out campaign splits plus per-verdict-kind throughput. The held-out
-/// rows carry the generalization claim: campaigns the detector never
-/// indexed, caught only by radius escalation and the feature score.
+/// Online-detection quality: the `seacma-detect` evaluation from
+/// `EVAL_detect.json` — precision/recall on the seen and held-out
+/// campaign splits. The held-out rows carry the generalization claim:
+/// campaigns the detector never indexed, caught only by radius escalation
+/// and the feature score.
 ///
 /// ```
 /// use seacma_report::{Analysis, BenchPoint, OnlineDetection, ReportInputs};
@@ -343,29 +347,30 @@ impl Analysis for OnlineDetection {
         "Online detection"
     }
     fn note(&self) -> &'static str {
-        "Per-page-load detector evaluation from BENCH_detect.json: precision/recall on \
+        "Per-page-load detector evaluation from EVAL_detect.json: precision/recall on \
          the seen split (campaigns in the live index) and the held-out split (campaigns \
          withheld from the feed — generalization via radius escalation and the \
-         structural feature score), plus served QPS per verdict kind."
+         structural feature score). Serving latency per verdict kind is a benchmark \
+         per-layer metric (benchmark/results/trace-summary.json)."
     }
     fn compute(&self, inputs: &ReportInputs) -> Table {
         let mut t = Table::new(
             self.id(),
             self.title(),
-            &["metric", "split / verdict kind", "value"],
+            &["metric", "split", "value"],
         );
         let detect: Vec<_> =
-            inputs.bench.iter().filter(|p| p.series == "detect").collect();
+            inputs.bench.iter().filter(|p| p.series == DETECT_SERIES).collect();
         if detect.is_empty() {
             push_no_data(&mut t);
             return t;
         }
         for p in detect {
-            let value = match p.metric.as_str() {
-                "precision" | "recall" => Cell::fixed(p.value, 4),
-                _ => Cell::fixed(p.value, 0),
-            };
-            t.push([Cell::text(p.metric.clone()), Cell::text(p.name.clone()), value]);
+            t.push([
+                Cell::text(p.metric.clone()),
+                Cell::text(p.name.clone()),
+                Cell::fixed(p.value, 4),
+            ]);
         }
         t
     }

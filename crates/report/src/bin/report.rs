@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Runs the batch pipeline at `PipelineConfig::small(seed)`, extracts
-//! [`ReportInputs`] from the run (plus any checked-in `BENCH_*.json`
-//! artifacts under `--bench-dir`), and composes the six standard
+//! [`ReportInputs`] from the run (plus, from the checkout rooted at
+//! `--bench-dir`, `benchmark/results/baseline.json` and
+//! `EVAL_detect.json`), and composes the six standard
 //! analyses into one HTML file. Two invocations with equal arguments and
 //! equal bench artifacts produce byte-identical files — `scripts/verify.sh`
 //! diffs them. Operator notes go to stderr; the only file touched is

@@ -60,30 +60,39 @@ impl CampaignObs {
     }
 }
 
-/// One measurement harvested from a checked-in `BENCH_*.json` file.
+/// One measurement harvested from the checked-in benchmark baseline
+/// (`benchmark/results/baseline.json`) or the detection-quality eval
+/// (`EVAL_detect.json`).
 ///
 /// ```
 /// use seacma_report::BenchPoint;
 ///
 /// let p = BenchPoint {
-///     series: "cluster".into(),
-///     name: "cluster/indexed/10000".into(),
-///     metric: "median_ms".into(),
-///     value: 76.28,
+///     series: "pipeline-paper".into(),
+///     name: "pipeline_wall_s".into(),
+///     metric: "s".into(),
+///     value: 5.307,
 /// };
-/// assert_eq!(p.series, "cluster");
+/// assert_eq!(p.series, "pipeline-paper");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchPoint {
-    /// Which file the point came from (`BENCH_<series>.json`).
+    /// The benchmark workload the point belongs to, or [`DETECT_SERIES`]
+    /// for a detection-eval point.
     pub series: String,
-    /// The benchmark's own name (e.g. `cluster/indexed/10000`).
+    /// The end-to-end metric's name (e.g. `pipeline_wall_s`), or the eval
+    /// split (`seen` / `held_out`).
     pub name: String,
-    /// What `value` measures (`median_ms` or `qps`).
+    /// The metric's unit (e.g. `s`), or `precision` / `recall`.
     pub metric: String,
-    /// The measured value.
+    /// The measured value (a benchmark metric's median over its runs).
     pub value: f64,
 }
+
+/// The [`BenchPoint::series`] of detection-eval points: the
+/// online-detection analysis renders exactly these, the bench trajectory
+/// everything else.
+pub const DETECT_SERIES: &str = "detect";
 
 /// Everything the standard analyses consume, already extracted from
 /// pipeline / tracker / daemon / bench artifacts.
@@ -111,7 +120,7 @@ pub struct ReportInputs {
     pub gsb_unlisted: u64,
     /// Per-ad-network attribution rows (core's Table 3).
     pub adnets: Vec<Table3Row>,
-    /// Bench trajectory points from `BENCH_*.json` files.
+    /// Benchmark-baseline and detection-eval points ([`load_bench_dir`]).
     pub bench: Vec<BenchPoint>,
 }
 
@@ -162,126 +171,71 @@ impl ReportInputs {
         }
     }
 
-    /// Loads every `BENCH_*.json` under `dir` into [`ReportInputs::bench`]
-    /// (see [`load_bench_dir`]). Missing directories load zero points.
+    /// Loads the checked-in measurements of the checkout rooted at `dir`
+    /// into [`ReportInputs::bench`] (see [`load_bench_dir`]). Missing
+    /// files load zero points.
     pub fn with_bench_dir(mut self, dir: &Path) -> Self {
         self.bench = load_bench_dir(dir);
         self
     }
 }
 
-/// Harvests bench trajectory points from the checked-in `BENCH_*.json`
-/// files under `dir`, in sorted filename order (deterministic given the
-/// same files). Four shapes are understood: the bench harness's array
-/// form (`[{name, median_ns, ...}]` → one `median_ms` point per entry),
-/// `BENCH_query.json`'s keyed form (`{"kinds": {name: {qps, ...}}}` → one
-/// `qps` point per kind), `BENCH_detect.json`'s evaluation form
-/// (`{"eval": {split: {precision, recall, ...}}}` → one `precision` and
-/// one `recall` point per split), and `BENCH_e2e.json`'s phase form
-/// (`{"phases": [{name, wall_ms, allocs, points, ...}]}` → one `wall_ms`
-/// point per phase, plus `allocs` and `allocs_per_point` points when the
-/// run counted allocations).
-/// Unreadable files are skipped — a report must render from whatever
-/// artifacts exist.
+/// Harvests the checked-in measurements of the repository checkout rooted
+/// at `dir`, deterministically given the same files:
+///
+/// * `benchmark/results/baseline.json` (schema
+///   `seacma-benchmark/results/1`, written by `benchmark/run.sh`) → one
+///   point per workload × end-to-end metric in file order, carrying the
+///   metric's unit and its median over the runs;
+/// * `EVAL_detect.json` (written by `detect_eval --json`) → one
+///   `precision` and one `recall` point per split, series
+///   [`DETECT_SERIES`].
+///
+/// A missing, unreadable or differently-shaped file contributes nothing —
+/// a report must render from whatever artifacts exist.
 pub fn load_bench_dir(dir: &Path) -> Vec<BenchPoint> {
-    let mut names: Vec<String> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            .collect(),
-        Err(_) => return Vec::new(),
-    };
-    names.sort();
+    let read = |rel: &str| json::parse(&std::fs::read_to_string(dir.join(rel)).ok()?).ok();
     let mut points = Vec::new();
-    for name in names {
-        let series = name.trim_start_matches("BENCH_").trim_end_matches(".json").to_string();
-        let Ok(text) = std::fs::read_to_string(dir.join(&name)) else { continue };
-        let Ok(value) = json::parse(&text) else { continue };
-        match &value {
-            Value::Arr(entries) => {
-                for e in entries {
-                    let (Some(bench_name), Some(median_ns)) = (
-                        e.get("name").and_then(Value::as_str),
-                        e.get("median_ns").and_then(Value::as_f64),
-                    ) else {
-                        continue;
-                    };
+
+    let baseline = read("benchmark/results/baseline.json")
+        .filter(|v| v.get("schema").and_then(Value::as_str) == Some("seacma-benchmark/results/1"));
+    if let Some(Value::Arr(workloads)) = baseline.as_ref().and_then(|v| v.get("workloads")) {
+        for w in workloads {
+            let (Some(workload), Some(Value::Obj(metrics))) =
+                (w.get("name").and_then(Value::as_str), w.get("metrics"))
+            else {
+                continue;
+            };
+            for (metric, stats) in metrics {
+                let (Some(unit), Some(median)) = (
+                    stats.get("unit").and_then(Value::as_str),
+                    stats.get("median").and_then(Value::as_f64),
+                ) else {
+                    continue;
+                };
+                points.push(BenchPoint {
+                    series: workload.to_string(),
+                    name: metric.clone(),
+                    metric: unit.to_string(),
+                    value: median,
+                });
+            }
+        }
+    }
+
+    let eval = read("EVAL_detect.json");
+    if let Some(Value::Obj(splits)) = eval.as_ref().and_then(|v| v.get("eval")) {
+        for (split, stats) in splits {
+            for metric in ["precision", "recall"] {
+                if let Some(v) = stats.get(metric).and_then(Value::as_f64) {
                     points.push(BenchPoint {
-                        series: series.clone(),
-                        name: bench_name.to_string(),
-                        metric: "median_ms".to_string(),
-                        value: median_ns / 1e6,
+                        series: DETECT_SERIES.to_string(),
+                        name: split.clone(),
+                        metric: metric.to_string(),
+                        value: v,
                     });
                 }
             }
-            Value::Obj(_) => {
-                if let Some(Value::Obj(splits)) = value.get("eval") {
-                    for (split, stats) in splits {
-                        for metric in ["precision", "recall"] {
-                            if let Some(v) = stats.get(metric).and_then(Value::as_f64) {
-                                points.push(BenchPoint {
-                                    series: series.clone(),
-                                    name: split.clone(),
-                                    metric: metric.to_string(),
-                                    value: v,
-                                });
-                            }
-                        }
-                    }
-                }
-                if let Some(Value::Obj(kinds)) = value.get("kinds") {
-                    for (kind, stats) in kinds {
-                        if let Some(qps) = stats.get("qps").and_then(Value::as_f64) {
-                            points.push(BenchPoint {
-                                series: series.clone(),
-                                name: kind.clone(),
-                                metric: "qps".to_string(),
-                                value: qps,
-                            });
-                        }
-                    }
-                }
-                if let Some(Value::Arr(phases)) = value.get("phases") {
-                    for p in phases {
-                        let (Some(phase), Some(wall_ms)) = (
-                            p.get("name").and_then(Value::as_str),
-                            p.get("wall_ms").and_then(Value::as_f64),
-                        ) else {
-                            continue;
-                        };
-                        points.push(BenchPoint {
-                            series: series.clone(),
-                            name: phase.to_string(),
-                            metric: "wall_ms".to_string(),
-                            value: wall_ms,
-                        });
-                        if let Some(allocs) = p.get("allocs").and_then(Value::as_f64) {
-                            points.push(BenchPoint {
-                                series: series.clone(),
-                                name: phase.to_string(),
-                                metric: "allocs".to_string(),
-                                value: allocs,
-                            });
-                            // The per-point quotient is the hot-path diet
-                            // number the allocation work optimizes — it
-                            // stays comparable when the phase's point
-                            // count changes between runs.
-                            if let Some(n) = p.get("points").and_then(Value::as_f64) {
-                                if n > 0.0 {
-                                    points.push(BenchPoint {
-                                        series: series.clone(),
-                                        name: phase.to_string(),
-                                        metric: "allocs_per_point".to_string(),
-                                        value: allocs / n,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
     }
     points
@@ -313,66 +267,77 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_dir_loads_sorted_and_tolerates_absence(){
-        assert!(load_bench_dir(Path::new("/nonexistent/dir")).is_empty());
+    fn bench_dir_loads_sorted_and_tolerates_absence() {
+        use crate::{Analysis, BenchTrajectory, OnlineDetection};
+        // Each row of an analysis over `dir`'s files, cells joined by spaces.
+        let rows = |a: &dyn Analysis, dir: &Path| -> Vec<String> {
+            a.compute(&ReportInputs::new(1).with_bench_dir(dir))
+                .rows()
+                .iter()
+                .map(|r| r.iter().map(|c| c.render()).collect::<Vec<_>>().join(" "))
+                .collect()
+        };
 
-        // All four shapes load, in sorted filename order: the array
-        // form, the detect eval form, the e2e phase form, and the keyed
-        // qps form.
+        // No files at all: no points, a "(no data)" row in both sections.
+        let missing = Path::new("/nonexistent/dir");
+        assert!(load_bench_dir(missing).is_empty());
+        assert_eq!(rows(&BenchTrajectory, missing), ["(no data) - - -"]);
+        assert_eq!(rows(&OnlineDetection, missing), ["(no data) - -"]);
+
+        // The baseline alone: exactly one point per workload × metric, in
+        // file order (neither workloads nor metrics get sorted); the
+        // detection section still has no data.
         let dir = std::env::temp_dir()
             .join(format!("seacma-bench-inputs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(dir.join("benchmark/results")).unwrap();
         std::fs::write(
-            dir.join("BENCH_cluster.json"),
-            r#"[{"name": "cluster/indexed/1000", "median_ns": 2500000.0}]"#,
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("BENCH_detect.json"),
-            r#"{"eval": {
-                "seen": {"precision": 1.0, "recall": 0.6410, "attacks": 39},
-                "held_out": {"precision": 1.0, "recall": 0.4744}
-            }, "kinds": {"campaign_hit": {"qps": 150249.0}}}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("BENCH_e2e.json"),
-            r#"{"identity": true, "phases": [
-                {"name": "crawl", "wall_ms": 120.5, "allocs": 4200, "points": 10},
-                {"name": "cluster", "wall_ms": 8.25, "allocs": null, "points": 10}
+            dir.join("benchmark/results/baseline.json"),
+            r#"{"schema": "seacma-benchmark/results/1", "seed": 7, "workloads": [
+                {"name": "serve-static", "reps": 3, "metrics": {
+                    "query_qps": {"unit": "queries/s", "median": 9000.5, "min": 1.0, "values": [1.0]},
+                    "setup_s": {"unit": "s", "median": 0.25}}},
+                {"name": "pipeline-paper", "metrics": {
+                    "setup_s": {"unit": "s", "median": 0.5},
+                    "query_qps": {"unit": "queries/s", "median": 10.0}}}
             ]}"#,
         )
         .unwrap();
+        let trajectory = [
+            "serve-static query_qps queries/s 9000.500",
+            "serve-static setup_s s 0.250",
+            "pipeline-paper setup_s s 0.500",
+            "pipeline-paper query_qps queries/s 10.000",
+        ];
+        assert_eq!(load_bench_dir(&dir).len(), 4);
+        assert_eq!(rows(&BenchTrajectory, &dir), trajectory);
+        assert_eq!(rows(&OnlineDetection, &dir), ["(no data) - -"]);
+
+        // Plus the eval: its precision/recall points are what
+        // online-detection renders, and the trajectory does not grow.
         std::fs::write(
-            dir.join("BENCH_query.json"),
-            r#"{"kinds": {"hit": {"qps": 9000.0}}}"#,
+            dir.join("EVAL_detect.json"),
+            r#"{"config": {"publishers": 2000}, "eval": {
+                "seen": {"precision": 1.0, "recall": 0.6410, "attacks": 39},
+                "held_out": {"precision": 0.5, "recall": 0.4744}
+            }}"#,
         )
         .unwrap();
-        std::fs::write(dir.join("BENCH_broken.json"), "not json").unwrap();
-        std::fs::write(dir.join("NOTES.txt"), "ignored").unwrap();
+        let detection = [
+            "precision seen 1.0000",
+            "recall seen 0.6410",
+            "precision held_out 0.5000",
+            "recall held_out 0.4744",
+        ];
+        assert_eq!(load_bench_dir(&dir).len(), 4 + 4);
+        assert_eq!(rows(&BenchTrajectory, &dir), trajectory);
+        assert_eq!(rows(&OnlineDetection, &dir), detection);
 
-        let points = load_bench_dir(&dir);
+        // A baseline in some other schema contributes nothing.
+        std::fs::write(dir.join("benchmark/results/baseline.json"), r#"{"schema": "other/2"}"#)
+            .unwrap();
+        assert_eq!(rows(&BenchTrajectory, &dir), ["(no data) - - -"]);
+        assert_eq!(rows(&OnlineDetection, &dir), detection);
         std::fs::remove_dir_all(&dir).unwrap();
-        let summary: Vec<(&str, &str, &str, f64)> = points
-            .iter()
-            .map(|p| (p.series.as_str(), p.name.as_str(), p.metric.as_str(), p.value))
-            .collect();
-        assert_eq!(
-            summary,
-            vec![
-                ("cluster", "cluster/indexed/1000", "median_ms", 2.5),
-                ("detect", "seen", "precision", 1.0),
-                ("detect", "seen", "recall", 0.6410),
-                ("detect", "held_out", "precision", 1.0),
-                ("detect", "held_out", "recall", 0.4744),
-                ("detect", "campaign_hit", "qps", 150249.0),
-                ("e2e", "crawl", "wall_ms", 120.5),
-                ("e2e", "crawl", "allocs", 4200.0),
-                ("e2e", "crawl", "allocs_per_point", 420.0),
-                ("e2e", "cluster", "wall_ms", 8.25),
-                ("query", "hit", "qps", 9000.0),
-            ],
-        );
     }
 
     #[test]
@@ -388,9 +353,9 @@ mod tests {
             last_growth_epoch: 3,
         });
         i.bench.push(BenchPoint {
-            series: "cluster".into(),
-            name: "n".into(),
-            metric: "median_ms".into(),
+            series: "serve-live".into(),
+            name: "query_p99_us".into(),
+            metric: "us".into(),
             value: 1.25,
         });
         let s = json::to_string(&i);

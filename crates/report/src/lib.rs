@@ -39,5 +39,5 @@ pub use analyses::{
     OnlineDetection,
 };
 pub use analysis::{compose_html, standard_analyses, Analysis};
-pub use inputs::{load_bench_dir, BenchPoint, CampaignObs, ReportInputs};
+pub use inputs::{load_bench_dir, BenchPoint, CampaignObs, ReportInputs, DETECT_SERIES};
 pub use table::{Cell, Table};

@@ -8,7 +8,8 @@
 //! - [`IncrementalClusterer`] — streaming DBSCAN over the insert-capable
 //!   [`HammingIndex`](seacma_vision::index::HammingIndex), byte-identical
 //!   to batch [`cluster_screenshots`](seacma_vision::cluster::cluster_screenshots)
-//!   at every prefix (the property `tracker_scaling` gates before timing);
+//!   at every prefix (pinned by `tests/proptests.rs` and gated again by the
+//!   benchmark's `track-replay` workload);
 //! - [`CampaignLedger`] — stable campaign identities plus a life journal:
 //!   birth, growth, e2LD rotation, θc promotion/demotion, dormancy, death,
 //!   reactivation and merges;

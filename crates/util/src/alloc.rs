@@ -1,8 +1,8 @@
-//! Heap-allocation counting for the bench harness (feature `count-alloc`).
+//! Heap-allocation counting for the benchmark (feature `count-alloc`).
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
-//! allocation (and reallocation) through a relaxed atomic. A bench binary
-//! installs it explicitly:
+//! allocation (and reallocation) through a relaxed atomic. A binary
+//! installs it explicitly (`benchmark-traced` does):
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -13,9 +13,8 @@
 //! [`alloc_bytes`]. For a deterministic single-threaded program the call
 //! count is exact and reproducible — which is what lets `verify.sh` gate
 //! allocation regressions the same way it gates exactness. The module
-//! (and the `allocs` column in bench output) only exists under the
-//! `count-alloc` feature so ordinary builds pay nothing, not even the
-//! atomic increment.
+//! only exists under the `count-alloc` feature so ordinary builds pay
+//! nothing, not even the atomic increment.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

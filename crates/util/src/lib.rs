@@ -11,14 +11,12 @@
 //!   derive-replacement macros (replaces `serde` + `serde_json`).
 //! * [`prop`] — a seeded deterministic generator and the [`forall!`]
 //!   property-test macro (replaces `proptest`).
-//! * [`bench`](mod@bench) — a wall-clock benchmark harness with a criterion-shaped
-//!   API and JSON output, wired up by [`bench_main!`] (replaces
-//!   `criterion`).
 //! * [`sym`] — world-level symbol interning: [`sym::SymbolArena`] /
 //!   [`sym::SharedArena`] hand out dense `u32` symbols in deterministic
 //!   first-seen order with a byte-identical JSON snapshot.
 //! * `alloc` (feature `count-alloc`) — a counting global allocator so
-//!   bench binaries can report and gate per-phase allocation counts.
+//!   the benchmark's traced binary can report per-phase allocation counts
+//!   (which `scripts/verify.sh` gates).
 //!
 //! Concurrency needs are covered by `std` directly (`std::sync::mpsc`,
 //! `std::sync::Mutex`, `std::thread::scope` — see
@@ -26,7 +24,6 @@
 
 #[cfg(feature = "count-alloc")]
 pub mod alloc;
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod sym;
@@ -34,11 +31,11 @@ pub mod sym;
 /// Resolves a `workers` knob into an actual thread count: `0` means "use
 /// the machine's available parallelism", anything else is taken verbatim.
 ///
-/// Every parallel stage in the workspace (crawl farm, screenshot
-/// clustering, milking simulate phase) shares this convention *and* the
-/// guarantee that its output is byte-identical at any worker count — so
-/// the fallback (4, used only when the OS refuses to report a parallelism
-/// estimate) can never leak into results, only into wall-clock.
+/// Every parallel stage in the workspace (crawl farm, milking simulate
+/// phase) shares this convention *and* the guarantee that its output is
+/// byte-identical at any worker count — so the fallback (4, used only
+/// when the OS refuses to report a parallelism estimate) can never leak
+/// into results, only into wall-clock.
 pub fn resolve_workers(workers: usize) -> usize {
     if workers == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)

@@ -121,24 +121,6 @@ impl ScreenshotClusters {
 /// assert_eq!(result.campaigns[0].domain_count(), 6);
 /// ```
 pub fn cluster_screenshots(points: &[ScreenshotPoint], params: ClusterParams) -> ScreenshotClusters {
-    cluster_screenshots_parallel(points, params, 1)
-}
-
-/// [`cluster_screenshots`] with index construction and region queries
-/// sharded across `workers` OS threads (`0` ⇒ available parallelism, the
-/// crawler-farm convention; `1` ⇒ fully sequential).
-///
-/// The output is **byte-identical** for every worker count: workers only
-/// precompute the per-point neighbour lists (each an independent pure
-/// function of the read-only index — see
-/// [`HammingIndex::regions_parallel`]), and the DBSCAN sweep, cluster-id
-/// assignment and representative selection run sequentially over those
-/// lists.
-pub fn cluster_screenshots_parallel(
-    points: &[ScreenshotPoint],
-    params: ClusterParams,
-    workers: usize,
-) -> ScreenshotClusters {
     // Dedup identical (dhash, e2ld) pairs, remembering all original indices.
     let mut uniq: Vec<(Dhash, &str)> = Vec::new();
     let mut originals: Vec<Vec<u32>> = Vec::new();
@@ -162,21 +144,14 @@ pub fn cluster_screenshots_parallel(
     // Indexed region queries (exact — identical labels to the naive O(n²)
     // scan; see DESIGN.md "Hamming neighbour index").
     let hashes: Vec<Dhash> = uniq.iter().map(|&(d, _)| d).collect();
-    let labels = if workers == 1 {
-        let mut index = HammingIndex::build(&hashes, params.eps);
-        dbscan_with(&mut index, params.min_pts)
-    } else {
-        let index = HammingIndex::build_parallel(&hashes, params.eps, workers);
-        let mut regions = index.regions_parallel(workers);
-        dbscan_with(&mut regions, params.min_pts)
-    };
+    let labels = dbscan_with(&mut HammingIndex::build(&hashes, params.eps), params.min_pts);
 
     assemble_clusters(&uniq, &originals, &labels, params.theta_c)
 }
 
-/// [`cluster_screenshots_parallel`] over struct-of-arrays input: points
-/// arrive as parallel `dhash`/`e2LD-symbol` columns plus the arena that
-/// assigned the symbols, instead of a slice of point structs.
+/// [`cluster_screenshots`] over struct-of-arrays input: points arrive as
+/// parallel `dhash`/`e2LD-symbol` columns plus the arena that assigned
+/// the symbols, instead of a slice of point structs.
 ///
 /// The output is **byte-identical** to running the string path over the
 /// resolved points: symbols are in bijection with their strings within
@@ -185,12 +160,17 @@ pub fn cluster_screenshots_parallel(
 /// first-occurrence order, and the DBSCAN stage only ever looks at the
 /// hash column. This is the pipeline's hot path: the dedup key is
 /// `(u128, u32)` — no string hashing, no per-point allocation.
+///
+/// `_workers` is ignored: clustering is sequential (DESIGN.md §2c records
+/// why the sharded region-query path was removed). The argument and the
+/// `_parallel` suffix stay only because `benchmark/` calls this exact
+/// signature.
 pub fn cluster_sym_columns_parallel(
     dhashes: &[Dhash],
     e2lds: &[Sym],
     arena: &SymbolArena,
     params: ClusterParams,
-    workers: usize,
+    _workers: usize,
 ) -> ScreenshotClusters {
     assert_eq!(dhashes.len(), e2lds.len(), "column lengths must agree");
     let mut uniq_hashes: Vec<Dhash> = Vec::new();
@@ -214,14 +194,7 @@ pub fn cluster_sym_columns_parallel(
         }
     }
 
-    let labels = if workers == 1 {
-        let mut index = HammingIndex::build(&uniq_hashes, params.eps);
-        dbscan_with(&mut index, params.min_pts)
-    } else {
-        let index = HammingIndex::build_parallel(&uniq_hashes, params.eps, workers);
-        let mut regions = index.regions_parallel(workers);
-        dbscan_with(&mut regions, params.min_pts)
-    };
+    let labels = dbscan_with(&mut HammingIndex::build(&uniq_hashes, params.eps), params.min_pts);
 
     let uniq: Vec<(Dhash, &str)> = uniq_hashes
         .iter()
@@ -264,8 +237,7 @@ pub fn assemble_clusters(
             members_u.iter().map(|&u| uniq[u].1.to_owned()).collect();
         // Representative: medoid by total Hamming distance among unique
         // members; ties break to the lowest unique-point index, so the
-        // choice is a pure function of the member set (parallel and
-        // sequential runs agree bit for bit).
+        // choice is a pure function of the member set.
         let rep_u = *members_u
             .iter()
             .min_by_key(|&&a| {
@@ -405,27 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_clustering_is_byte_identical() {
-        // A corpus with campaigns, a θc-filtered cluster, noise and exact
-        // duplicates — every code path the parallel run must reproduce.
-        let mut pts = synthetic_campaign(0xAAAA_BBBB_CCCC_DDDD, 20, 8, "evil");
-        pts.extend(synthetic_campaign(0x1234_5678, 12, 2, "benign"));
-        pts.extend((0..6).map(|i| {
-            ScreenshotPoint::new(Dhash(0xFFFFu128 << (i * 20)), format!("n{i}.com"))
-        }));
-        let dup = pts[0].clone();
-        pts.push(dup);
-
-        let seq = cluster_screenshots(&pts, ClusterParams::default());
-        for workers in [0, 2, 3, 7] {
-            let par = cluster_screenshots_parallel(&pts, ClusterParams::default(), workers);
-            assert_eq!(par.campaigns, seq.campaigns, "workers={workers}");
-            assert_eq!(par.filtered, seq.filtered, "workers={workers}");
-            assert_eq!(par.noise, seq.noise, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn sym_columns_match_string_path() {
         use seacma_util::forall;
         forall!(64, |g| {
@@ -446,15 +397,9 @@ mod tests {
             let mut arena = SymbolArena::new();
             let dhashes: Vec<Dhash> = pts.iter().map(|p| p.dhash).collect();
             let e2lds: Vec<Sym> = pts.iter().map(|p| arena.intern(&p.e2ld)).collect();
-            let workers = g.range(1, 5);
-            let by_string = cluster_screenshots_parallel(&pts, ClusterParams::default(), workers);
-            let by_sym = cluster_sym_columns_parallel(
-                &dhashes,
-                &e2lds,
-                &arena,
-                ClusterParams::default(),
-                workers,
-            );
+            let by_string = cluster_screenshots(&pts, ClusterParams::default());
+            let by_sym =
+                cluster_sym_columns_parallel(&dhashes, &e2lds, &arena, ClusterParams::default(), 1);
             assert_eq!(by_sym, by_string);
         });
     }

@@ -53,8 +53,7 @@ impl Label {
 /// into `out` (including `p` itself, which is always within radius zero of
 /// itself). DBSCAN's output is a pure function of these lists, so two
 /// implementations that return equal lists produce byte-identical labels —
-/// the contract that lets the indexed and precomputed-parallel paths stand
-/// in for the naive scan.
+/// the contract that lets the indexed path stand in for the naive scan.
 pub trait RegionQuery {
     /// Number of points in the set.
     fn len(&self) -> usize;

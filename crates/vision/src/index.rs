@@ -27,19 +27,8 @@
 //! rather than a closure call. Near-duplicate *clusters* add their true
 //! neighbours to the candidate list (up to once per band), which is
 //! unavoidable — those are real results.
-//!
-//! Construction and region queries both shard cleanly:
-//! [`HammingIndex::build_parallel`] farms whole bands out to `std`
-//! scoped threads (each band's bucket map is built independently by one
-//! worker scanning points in index order, so the resulting structure is
-//! identical regardless of worker count), and
-//! [`HammingIndex::regions_parallel`] precomputes every point's sorted
-//! neighbour list across workers for the parallel clustering path.
 
 use std::collections::HashMap;
-use std::sync::mpsc;
-
-use seacma_util::resolve_workers;
 
 use crate::dbscan::RegionQuery;
 use crate::dhash::{Dhash, HASH_BITS};
@@ -127,16 +116,7 @@ impl HammingIndex {
     /// Builds the index over `hashes` for DBSCAN radius `eps` (normalized
     /// Hamming, as in [`DbscanParams::eps`](crate::dbscan::DbscanParams)).
     pub fn build(hashes: &[Dhash], eps: f64) -> Self {
-        Self::build_parallel(hashes, eps, 1)
-    }
-
-    /// Builds the index with band construction sharded across `workers`
-    /// scoped threads (`0` ⇒ available parallelism). The resulting index
-    /// is identical to a sequential [`HammingIndex::build`]: each band is
-    /// built wholly by one worker scanning points in index order, and
-    /// bands are reassembled in layout order from the result channel.
-    pub fn build_parallel(hashes: &[Dhash], eps: f64, workers: usize) -> Self {
-        Self::build_radius_parallel(hashes, radius_for_eps(eps), workers)
+        Self::build_radius(hashes, radius_for_eps(eps))
     }
 
     /// Builds the index for an explicit integer bit radius rather than a
@@ -146,49 +126,17 @@ impl HammingIndex {
     /// `radius` is clamped to 128; `build(h, eps)` is exactly
     /// `build_radius(h, radius_for_eps(eps))`.
     pub fn build_radius(hashes: &[Dhash], radius: u32) -> Self {
-        Self::build_radius_parallel(hashes, radius, 1)
-    }
-
-    /// [`HammingIndex::build_radius`] with band construction sharded
-    /// across `workers` scoped threads; same worker-count-invariance
-    /// contract as [`HammingIndex::build_parallel`].
-    pub fn build_radius_parallel(hashes: &[Dhash], radius: u32, workers: usize) -> Self {
         let radius = radius.min(HASH_BITS);
-        let layout = band_layout(radius);
-        let workers = resolve_workers(workers).min(layout.len().max(1));
-
-        let build_band = |&(shift, mask): &(u32, u128)| -> Band {
-            let mut buckets: HashMap<u128, Vec<u32>> = HashMap::new();
-            for (i, &h) in hashes.iter().enumerate() {
-                buckets.entry((h.0 >> shift) & mask).or_default().push(i as u32);
-            }
-            Band { shift, mask, bits: mask << shift, buckets }
-        };
-
-        let bands = if workers <= 1 || hashes.len() < 4096 {
-            layout.iter().map(build_band).collect()
-        } else {
-            let (tx, rx) = mpsc::channel::<(usize, Band)>();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let layout = &layout;
-                    let build_band = &build_band;
-                    scope.spawn(move || {
-                        for bi in (w..layout.len()).step_by(workers) {
-                            tx.send((bi, build_band(&layout[bi]))).expect("receiver alive");
-                        }
-                    });
+        let bands = band_layout(radius)
+            .into_iter()
+            .map(|(shift, mask)| {
+                let mut buckets: HashMap<u128, Vec<u32>> = HashMap::new();
+                for (i, &h) in hashes.iter().enumerate() {
+                    buckets.entry((h.0 >> shift) & mask).or_default().push(i as u32);
                 }
-            });
-            drop(tx);
-            let mut slots: Vec<Option<Band>> = layout.iter().map(|_| None).collect();
-            for (bi, band) in rx {
-                slots[bi] = Some(band);
-            }
-            slots.into_iter().map(|b| b.expect("every band built")).collect()
-        };
-
+                Band { shift, mask, bits: mask << shift, buckets }
+            })
+            .collect();
         HammingIndex { hashes: hashes.to_vec(), radius, bands }
     }
 
@@ -291,32 +239,6 @@ impl HammingIndex {
             .min_by_key(|&(q, d)| (d, q))
             .map(|(q, d)| (q, d))
     }
-
-    /// Precomputes every point's neighbour list, sharding the queries
-    /// across `workers` scoped threads (`0` ⇒ available parallelism).
-    ///
-    /// Each list is an independent pure function of the (read-only) index,
-    /// so the result — and any DBSCAN run over it — is byte-identical to
-    /// the sequential path for every worker count.
-    pub fn regions_parallel(&self, workers: usize) -> PrecomputedRegions {
-        let n = self.hashes.len();
-        let workers = resolve_workers(workers).min(n.max(1));
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let chunk = n.div_ceil(workers.max(1)).max(1);
-        std::thread::scope(|scope| {
-            for (ci, slice) in lists.chunks_mut(chunk).enumerate() {
-                let start = ci * chunk;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for (j, slot) in slice.iter_mut().enumerate() {
-                        self.neighbours_into(start + j, &mut out);
-                        slot.extend(out.iter().map(|&q| q as u32));
-                    }
-                });
-            }
-        });
-        PrecomputedRegions { lists }
-    }
 }
 
 impl RegionQuery for HammingIndex {
@@ -326,33 +248,6 @@ impl RegionQuery for HammingIndex {
 
     fn region(&mut self, p: usize, out: &mut Vec<usize>) {
         self.neighbours_into(p, out);
-    }
-}
-
-/// Materialized neighbour lists (one sorted list per point), the output of
-/// [`HammingIndex::regions_parallel`]. Implements
-/// [`RegionQuery`] so the sequential DBSCAN sweep can consume lists that
-/// were computed in parallel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrecomputedRegions {
-    lists: Vec<Vec<u32>>,
-}
-
-impl PrecomputedRegions {
-    /// The neighbour list of point `p` (ascending, includes `p`).
-    pub fn list(&self, p: usize) -> &[u32] {
-        &self.lists[p]
-    }
-}
-
-impl RegionQuery for PrecomputedRegions {
-    fn len(&self) -> usize {
-        self.lists.len()
-    }
-
-    fn region(&mut self, p: usize, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.lists[p].iter().map(|&q| q as usize));
     }
 }
 
@@ -443,7 +338,6 @@ mod tests {
     fn empty_and_singleton() {
         let empty = HammingIndex::build(&[], 0.1);
         assert!(empty.is_empty());
-        assert_eq!(empty.regions_parallel(4).len(), 0);
 
         let one = HammingIndex::build(&[Dhash(7)], 0.1);
         assert_eq!(one.len(), 1);
@@ -523,33 +417,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_build_and_regions_match_sequential() {
-        use seacma_util::prop::Rng;
-        let mut rng = Rng::new(0x9A11);
-        let base = rng.u128();
-        // Large enough to trip the parallel build path (>= 4096 points);
-        // the planted cluster stays modest because enumerating a dense
-        // blob is inherently quadratic in its size.
-        let hashes: Vec<Dhash> = (0..4500)
-            .map(|i| {
-                if i % 16 == 0 {
-                    Dhash(base ^ (1u128 << (i % 64)))
-                } else {
-                    Dhash(rng.u128())
-                }
-            })
-            .collect();
-        let seq = HammingIndex::build(&hashes, 0.1);
-        let par = HammingIndex::build_parallel(&hashes, 0.1, 4);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for p in 0..hashes.len() {
-            seq.neighbours_into(p, &mut a);
-            par.neighbours_into(p, &mut b);
-            assert_eq!(a, b, "parallel build diverged at point {p}");
-        }
-        assert_eq!(seq.regions_parallel(1), par.regions_parallel(5));
     }
 }

@@ -21,9 +21,7 @@
 //!
 //! Clustering runs sub-quadratically: region queries go through the exact
 //! pigeonhole-banded [`HammingIndex`] (see [`index`]) rather than an O(n²)
-//! pairwise scan, and [`cluster_screenshots_parallel`] shards index
-//! construction and candidate verification across OS threads while keeping
-//! cluster ids and representatives byte-identical to the sequential run.
+//! pairwise scan.
 
 #![deny(missing_docs)]
 
@@ -34,10 +32,7 @@ pub mod dhash;
 pub mod index;
 
 pub use bitmap::Bitmap;
-pub use cluster::{
-    cluster_screenshots, cluster_screenshots_parallel, ClusterParams, ScreenshotClusters,
-    ScreenshotPoint,
-};
+pub use cluster::{cluster_screenshots, ClusterParams, ScreenshotClusters, ScreenshotPoint};
 pub use dbscan::{dbscan, dbscan_with, DbscanParams, Label, RegionQuery};
 pub use dhash::{dhash128, hamming, normalized_hamming, Dhash};
-pub use index::{HammingIndex, PrecomputedRegions};
+pub use index::HammingIndex;

@@ -5,9 +5,7 @@ use seacma_util::forall;
 use seacma_util::prop::Rng;
 
 use seacma_vision::bitmap::Bitmap;
-use seacma_vision::cluster::{
-    cluster_screenshots, cluster_screenshots_parallel, ClusterParams, ScreenshotPoint,
-};
+use seacma_vision::cluster::{cluster_screenshots, ClusterParams, ScreenshotPoint};
 use seacma_vision::dbscan::{dbscan, dbscan_with, DbscanParams, Label};
 use seacma_vision::dhash::{dhash128, hamming, normalized_hamming, Dhash};
 use seacma_vision::index::HammingIndex;
@@ -258,26 +256,6 @@ fn indexed_dbscan_exact_at_band_boundaries() {
         let mut index = index;
         let indexed = dbscan_with(&mut index, 3);
         assert_eq!(indexed, naive);
-    });
-}
-
-/// The parallel clustering stage is byte-identical to the sequential run
-/// for every worker count, on arbitrary corpora.
-#[test]
-fn parallel_clustering_matches_sequential() {
-    forall!(64, |rng| {
-        let hashes = gen_dhash_corpus(rng);
-        let pts: Vec<ScreenshotPoint> = hashes
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| ScreenshotPoint::new(h, format!("d{}.com", i % 9)))
-            .collect();
-        let seq = cluster_screenshots(&pts, ClusterParams::default());
-        let workers = rng.range(2, 9);
-        let par = cluster_screenshots_parallel(&pts, ClusterParams::default(), workers);
-        assert_eq!(par.campaigns, seq.campaigns, "workers={workers}");
-        assert_eq!(par.filtered, seq.filtered, "workers={workers}");
-        assert_eq!(par.noise, seq.noise, "workers={workers}");
     });
 }
 

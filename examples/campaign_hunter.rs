@@ -91,7 +91,8 @@ fn main() {
         lookup_tail: SimDuration::from_days(5),
         ..Default::default()
     };
-    let out = Milker::new(&world, config).run(&sources, &mut gsb, &mut vt, SimTime::EPOCH);
+    let out =
+        Milker::new(&world, config).run_parallel(&sources, &mut gsb, &mut vt, SimTime::EPOCH, 1);
     println!("7-day tracking: {} sessions, {} fresh domains", out.sessions, out.discoveries.len());
     for d in &out.discoveries {
         let gsb_status = match d.gsb_listed_at {

@@ -6,71 +6,85 @@ set -eu
 cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
-# Smoke the scaling benches. Each binary runs an exactness gate before
-# its bench bodies, so a correctness regression fails tier-1 offline:
-#   cluster_scaling — naive, indexed and parallel region-query paths
-#     produce identical DBSCAN labels;
-#   milking_scaling — the two-phase simulate/merge scheduler reproduces
-#     the sequential MilkingOutcome byte for byte at 1, 2 and 8 workers;
-#   tracker_scaling — the incremental tracker snapshot equals batch
-#     cluster_screenshots over the same prefix at every epoch boundary;
-#   crawl_scaling — the farm's render-free fast path (shared clean-render
-#     cache, deferred fused dhashes, sharded assembly) reproduces the
-#     sequential full-render CrawlDataset byte for byte at 1, 2 and 8
-#     workers;
-#   query_scaling — the resident daemon's served answers are byte-
-#     identical to the offline batch pipeline at every epoch boundary,
-#     and a snapshot → resume round trip changes neither the serialized
-#     state nor one answer byte;
-#   detect_eval — the online detector's verdicts are byte-identical
-#     across 1/2/8-worker index builds, to the linear-scan oracle, and
-#     across a snapshot → resume round trip, before any timing runs.
-for bench in cluster_scaling milking_scaling tracker_scaling crawl_scaling query_scaling \
-             detect_eval; do
-    cargo run --release --offline -p seacma-bench --bin "$bench" -- --quick
-done
+# Benchmark smoke: every workload of BENCHMARK.json at reduced size with
+# every correctness gate on (daemon == offline replay, tracker == batch
+# clustering, detector == linear oracle, snapshot → resume identity,
+# run-to-run digests), then the benchmark package's own unit tests (in
+# the target directory run.sh already built into). The package builds
+# against crates/ by path, so an API break against benchmark/ fails
+# tier-1 here. It replaces the per-layer `*_scaling --quick` smokes and
+# the `detect_eval --quick` gate; each exactness gate those ran keeps a
+# forall! twin inside `cargo test` above:
+#   cluster_scaling (naive == indexed labels)
+#       crates/vision/tests/proptests.rs
+#   milking_scaling (simulate/merge == sequential at 1/2/8 workers)
+#       crates/milker/src/scheduler.rs tests
+#   tracker_scaling (incremental == batch at every epoch boundary)
+#       crates/tracker/tests/proptests.rs
+#   crawl_scaling (farm fast path == sequential full-render crawl)
+#       crates/crawler/tests/proptests.rs
+#   query_scaling (daemon == offline batch oracle, snapshot → resume)
+#       crates/daemon/tests/props.rs
+#   detect_eval (detector == linear oracle, snapshot → resume)
+#       tests/detect_exactness.rs
+#   e2e_scaling (symbol path == string reference at every boundary)
+#       tests/sym_exactness.rs
+benchmark/run.sh --smoke
+CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-# End-to-end smoke + allocation-regression gate: e2e_scaling runs the
-# whole pipeline (crawl → cluster → track → milk → track) at the small
-# configuration with the counting allocator installed. Its own gate
-# aborts unless the symbol-path tracker is byte-identical to the
-# string-based reference; on top of that, each phase's allocation count
-# (exact and reproducible at workers=1) must not exceed the checked-in
-# baseline by more than 10%, and the summed phase wall time must stay
-# under a generous sanity ceiling (the quick run takes ~0.2 s on a dev
-# box; 10 s catches an accidental paper-scale config or a pathological
-# slowdown without flaking on slow CI hardware).
-e2e=$(mktemp)
-cargo run --release --offline -p seacma-bench --features count-alloc \
-    --bin e2e_scaling -- --quick --json "$e2e"
+# Allocation-regression gate, fed by the benchmark: one traced
+# pipeline-sweep run at smoke size (crawl → cluster → track → milk →
+# track at workers = 1 under the counting allocator). Each phase's
+# allocation count is exact and identical run to run, and must not exceed
+# the checked-in baseline by more than 10%; the summed phase wall time
+# must stay under a generous sanity ceiling (~0.4 s on a dev box; 10 s
+# catches a pathological slowdown without flaking on slow CI hardware).
+trace=$(mktemp)
+benchmark/run.sh --workload pipeline-sweep --seed 42 --seconds 10 --trace 1 --smoke \
+    | tail -n 1 >"$trace"
 awk '
-    {
+    # The value of metric `name` in the one-line result object.
+    function metric(line, name,    key, at, rest) {
+        key = "\"" name "\":{\"value\":"
+        at = index(line, key)
+        if (!at) { printf "traced run reports no %s\n", name; bad = 1; return 0 }
+        rest = substr(line, at + length(key))
+        match(rest, /^[0-9.eE+-]+/)
+        return substr(rest, 1, RLENGTH) + 0
+    }
+    FNR == NR {
         if (match($0, /"name": *"[^"]*"/)) {
             name = substr($0, RSTART, RLENGTH)
             sub(/.*: *"/, "", name); sub(/"$/, "", name)
         }
-        if (FNR != NR && match($0, /"wall_ms": *[0-9.]+/)) {
-            w = substr($0, RSTART, RLENGTH)
-            sub(/.*: */, "", w); wall += w
-        }
         if (match($0, /"allocs": *[0-9]+/)) {
             a = substr($0, RSTART, RLENGTH)
-            gsub(/[^0-9]/, "", a); a += 0
-            if (FNR == NR) { base[name] = a; next }
-            if (!(name in base)) { printf "no alloc baseline for phase %s\n", name; bad = 1 }
-            else if (a > base[name] * 1.10) {
-                printf "alloc regression in %s: %d > %d +10%%\n", name, a, base[name]; bad = 1
-            } else { printf "alloc gate %-14s %8d (baseline %8d) ok\n", name, a, base[name] }
+            gsub(/[^0-9]/, "", a)
+            base[name] = a + 0; names[++n] = name
         }
+        next
+    }
+    {
+        checked = 1
+        if (!index($0, "\"correct\":true")) { print "traced run failed a correctness gate"; bad = 1 }
+        for (k = 1; k <= n; k++) {
+            a = metric($0, names[k])
+            if (a > base[names[k]] * 1.10) {
+                printf "alloc regression in %s: %d > %d +10%%\n", names[k], a, base[names[k]]; bad = 1
+            } else { printf "alloc gate %-24s %8d (baseline %8d) ok\n", names[k], a, base[names[k]] }
+        }
+        split("crawl cluster track_crawl milk_sources milk track_milk", phases, " ")
+        for (k in phases) wall += metric($0, "core." phases[k] "_ms")
+        if (wall > 10000) { printf "pipeline wall-time sanity: %.1f ms > 10000 ms\n", wall; bad = 1 }
+        else { printf "pipeline wall-time sanity: %.1f ms across all phases (< 10 s) ok\n", wall }
     }
     END {
-        if (wall > 10000) { printf "e2e wall-time sanity: %.1f ms > 10000 ms\n", wall; bad = 1 }
-        else { printf "e2e wall-time sanity: %.1f ms across all phases (< 10 s) ok\n", wall }
+        if (!checked) { print "traced run printed no result object"; bad = 1 }
         exit bad
     }
-' scripts/e2e_alloc_baseline.json "$e2e"
-rm -f "$e2e"
-echo "e2e smoke: symbol path byte-identical, per-phase allocs within baseline"
+' scripts/e2e_alloc_baseline.json "$trace"
+rm -f "$trace"
+echo "benchmark smoke: every gate true, per-phase allocs within baseline"
 
 # Daemon end-to-end smoke: boot seacmad over the simulated measurement,
 # let the epoch loop drain, query, snapshot — then resume from that

@@ -4,7 +4,7 @@
 
 use seacma_core::blacklist::{GsbService, VirusTotal};
 use seacma_core::browser::BrowserConfig;
-use seacma_core::crawler::{visit_publisher, CrawlPolicy};
+use seacma_core::crawler::{visit_publisher_reusing, CrawlPolicy, VisitScratch};
 use seacma_core::graph::{Attribution, Attributor, NetworkPattern};
 use seacma_core::milker::{validate_candidates, Milker, MilkingCandidate, MilkingConfig};
 use seacma_core::simweb::{SimDuration, SimTime, UaProfile, Vantage, World, WorldConfig};
@@ -29,11 +29,13 @@ fn crawl_to_milking_hand_wired() {
 
     // Crawl until we have a few attack landings with milkable candidates.
     let mut arena = SymbolArena::new();
+    let mut scratch = VisitScratch::new();
     let mut candidates = Vec::new();
     let mut attack_count = 0;
     for (i, p) in w.publishers().iter().enumerate() {
-        let visit = visit_publisher(
+        let visit = visit_publisher_reusing(
             &w, p, cfg, SimTime(i as u64 * 2), CrawlPolicy::default(), None, &mut arena,
+            &mut scratch,
         );
         for l in &visit.landings {
             if !l.truth_is_attack {
@@ -69,7 +71,7 @@ fn crawl_to_milking_hand_wired() {
             ..Default::default()
         },
     )
-    .run(&sources, &mut gsb, &mut vt, SimTime(5000));
+    .run_parallel(&sources, &mut gsb, &mut vt, SimTime(5000), 1);
     assert!(
         out.discoveries.len() >= sources.len(),
         "each source should yield at least its current domain"
@@ -95,14 +97,16 @@ fn attribution_chain_contract() {
     let attributor = Attributor::new(patterns);
 
     let mut arena = SymbolArena::new();
+    let mut scratch = VisitScratch::new();
     let mut known = 0;
     let mut unknown = 0;
     for p in w.publishers().iter().take(120) {
         // Hidden-only publishers must attribute Unknown; seed publishers
         // mostly Known.
         let only_hidden = p.networks.iter().all(|id| !w.networks()[id.0 as usize].seed_listed);
-        let visit =
-            visit_publisher(&w, p, cfg, SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena);
+        let visit = visit_publisher_reusing(
+            &w, p, cfg, SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena, &mut scratch,
+        );
         for l in &visit.landings {
             match attributor.attribute_urls(l.chain_urls().into_iter()) {
                 Attribution::Known(name) => {
@@ -128,17 +132,18 @@ fn locking_pages_need_instrumentation_end_to_end() {
     let instrumented = BrowserConfig::instrumented(UaProfile::Ie10Windows, Vantage::Residential);
     let stock = BrowserConfig::stock_automation(UaProfile::Ie10Windows, Vantage::Residential);
     let mut arena = SymbolArena::new();
+    let mut scratch = VisitScratch::new();
     let mut li = 0;
     let mut ls = 0;
     for p in w.publishers().iter().take(150) {
-        li += visit_publisher(
-            &w, p, instrumented, SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena,
-        )
-        .landings
-        .len();
-        ls += visit_publisher(&w, p, stock, SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena)
+        for (config, n) in [(instrumented, &mut li), (stock, &mut ls)] {
+            *n += visit_publisher_reusing(
+                &w, p, config, SimTime::EPOCH, CrawlPolicy::default(), None, &mut arena,
+                &mut scratch,
+            )
             .landings
             .len();
+        }
     }
     assert!(li > 0);
     // The stock crawler is both detectable (webdriver) and lockable, so it

@@ -2,17 +2,17 @@
 //! at every boundary — crawl dataset, clustering, each crawl-replay epoch,
 //! each milking day — the symbol fast path must be **byte-identical** (in
 //! resolved JSON form) to the string-based reference, across random worker
-//! counts and epoch splits. These properties are what let the e2e bench
-//! (`e2e_scaling`) time the fast path and publish the numbers as the
+//! counts and epoch splits. These properties are what let the benchmark's
+//! pipeline workloads time the fast path and publish the numbers as the
 //! pipeline's numbers.
 
 use seacma_core::blacklist::VirusTotal;
 use seacma_core::browser::{BrowserConfig, QuietBrowser, RenderCache};
-use seacma_core::crawler::{visit_publisher, visit_publisher_reusing, CrawlPolicy, VisitScratch};
+use seacma_core::crawler::{visit_publisher_reusing, CrawlPolicy, VisitScratch};
 use seacma_core::milker::trackfeed::{discovery_points, epoch_batches};
 use seacma_core::simweb::{SimDuration, SimTime, UaProfile, Vantage, HOUR};
 use seacma_core::tracker::CampaignTracker;
-use seacma_core::vision::cluster::{cluster_screenshots_parallel, ScreenshotPoint};
+use seacma_core::vision::cluster::{cluster_screenshots, ScreenshotPoint};
 use seacma_core::{Pipeline, PipelineConfig};
 use seacma_util::sym::SymbolArena;
 use seacma_util::{forall, json};
@@ -57,8 +57,7 @@ fn discovery_boundaries_match_string_reference_at_any_worker_count() {
             .landings()
             .map(|l| ScreenshotPoint::new(l.dhash, arena.resolve(l.landing_e2ld)))
             .collect();
-        let string_clusters =
-            cluster_screenshots_parallel(&points, pipeline.config().clustering, 1);
+        let string_clusters = cluster_screenshots(&points, pipeline.config().clustering);
         assert_eq!(
             json::to_string(&discovery.clusters),
             json::to_string(&string_clusters),
@@ -107,7 +106,7 @@ fn memoized_crawl_visits_match_uncached_reference_in_any_job_order() {
                 &mut arena_fast,
                 &mut scratch,
             );
-            let reference = visit_publisher(
+            let reference = visit_publisher_reusing(
                 world,
                 publisher,
                 config,
@@ -115,6 +114,7 @@ fn memoized_crawl_visits_match_uncached_reference_in_any_job_order() {
                 CrawlPolicy::default(),
                 None,
                 &mut arena_ref,
+                &mut VisitScratch::new(),
             );
             assert_eq!(fast, reference, "memoized visit diverged at {}", publisher.domain);
         }
