@@ -161,11 +161,6 @@ fn main() {
                     ("resident_points".into(), Value::UInt(snap.resident_points() as u128)),
                     ("campaigns".into(), Value::UInt(ids.len() as u128)),
                     ("held_out_campaigns".into(), Value::UInt(held_out.len() as u128)),
-                    // Constants of the retired latency half, kept so this
-                    // block diffs byte for byte against the
-                    // BENCH_detect.json history it continues.
-                    ("queries_per_kind".into(), Value::UInt(100_000)),
-                    ("threads".into(), Value::UInt(1)),
                 ]),
             ),
             ("eval".into(), Value::Obj(vec![seen_eval, held_eval])),

@@ -195,7 +195,7 @@ fn main() {
                             "seacmad: epoch {} closed ({} ingested, {} campaigns, {} events)",
                             summary.epoch,
                             summary.ingested,
-                            summary.clusters.campaigns.len(),
+                            summary.campaigns,
                             summary.events.len(),
                         );
                     }

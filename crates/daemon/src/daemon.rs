@@ -90,9 +90,17 @@ impl Daemon {
     /// Closes the current epoch and atomically publishes the new
     /// reputation snapshot. Queries in flight keep the previous snapshot;
     /// queries started after this call see the new one.
+    ///
+    /// The new snapshot succeeds the published one: its detector index is
+    /// the published snapshot's, cloned and extended by this epoch's
+    /// points ([`Detector::carried_forward`](seacma_detect::Detector::carried_forward)),
+    /// so a close costs the epoch plus a few column clones, not a re-index
+    /// of history. Every answer equals [`ReputationSnapshot::build`] over
+    /// the tracker.
     pub fn close_epoch(&mut self) -> EpochSummary {
         let summary = self.tracker.end_epoch();
-        self.cell.publish(ReputationSnapshot::build(&self.tracker));
+        let next = ReputationSnapshot::freeze(&self.tracker, Some(&self.cell.load()));
+        self.cell.publish(next);
         summary
     }
 

@@ -9,7 +9,7 @@
 //! even while snapshot `N + 1` is being built and published.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use seacma_detect::{Detector, DetectorConfig, PageObservation, Verdict};
 use seacma_simweb::domain::e2ld;
@@ -62,9 +62,12 @@ pub struct ReputationSnapshot {
     assignments: Vec<Option<u32>>,
     domains: HashMap<Sym, u32>,
     statuses: Vec<CampaignStatus>,
-    /// The online detector's frozen view over the same columns: two more
-    /// banded indexes (clustering radius + escalated radius) sharing the
-    /// snapshot's assignment vector semantics.
+    /// The online detector's frozen view over the same hash column: one
+    /// more banded index, at the escalated radius (17 bands at the default
+    /// `eps`; its probe answers the clustering radius too), plus the
+    /// assignment column restricted to θc-qualified campaigns. The next
+    /// epoch's snapshot carries this index forward
+    /// ([`Detector::carried_forward`]).
     detector: Detector,
 }
 
@@ -76,10 +79,30 @@ impl ReputationSnapshot {
     /// answer — a snapshot built mid-epoch answers exactly like the one
     /// published at the last boundary.
     ///
-    /// Publication is cheap: the tracker's live Hamming index and symbol
-    /// column are cloned (no rebuild, no string copies) and the arena is
-    /// shared by handle.
+    /// What this costs: the tracker's live clustering-radius index and
+    /// its symbol and assignment columns are **cloned** (no re-hashing, no
+    /// string copies), the arena is shared by handle, the per-campaign
+    /// statuses and the domain map are **rebuilt** (O(campaigns)), and the
+    /// detector's escalated-radius index is **rebuilt from scratch** —
+    /// every hash into every band, the dominant term. This is the boot and
+    /// resume constructor; [`Daemon::close_epoch`](crate::Daemon::close_epoch)
+    /// instead carries the published snapshot's detector index forward
+    /// ([`Detector::carried_forward`]): one index clone plus O(epoch)
+    /// inserts, everything else as here.
     pub fn build(tracker: &CampaignTracker) -> Self {
+        Self::freeze(tracker, None)
+    }
+
+    /// The one place a tracker becomes a snapshot. `prev` only chooses how
+    /// the detector's index comes to be: given an earlier snapshot of the
+    /// same tracker, its index is cloned and extended by the points that
+    /// arrived since ([`Detector::carried_forward`]) — O(epoch) inserts
+    /// rather than O(history) re-hashing — and every answer still equals
+    /// [`ReputationSnapshot::build`]`(tracker)`. A `prev` that is *not* a
+    /// prefix of `tracker` (another tracker's snapshot, a different radius)
+    /// is detected there and costs a from-scratch build, never a wrong
+    /// answer.
+    pub(crate) fn freeze(tracker: &CampaignTracker, prev: Option<&ReputationSnapshot>) -> Self {
         let index = tracker.hamming_index().clone();
         let e2lds = tracker.e2ld_syms().to_vec();
         let arena = tracker.arena().clone();
@@ -95,11 +118,12 @@ impl ReputationSnapshot {
                 .collect()
         };
         let domains = domain_map(&arena, &statuses);
-        let detector = Detector::from_columns(
-            index.hashes(),
-            &detect_assignments(&assignments, &statuses),
-            DetectorConfig::for_eps(tracker.config().params.eps),
-        );
+        let qualified = detect_assignments(&assignments, &statuses);
+        let config = DetectorConfig::for_eps(tracker.config().params.eps);
+        let detector = match prev {
+            Some(prev) => prev.detector.carried_forward(index.hashes(), &qualified, config),
+            None => Detector::from_columns(index.hashes(), &qualified, config),
+        };
         Self { epoch: tracker.epoch(), index, e2lds, arena, assignments, domains, statuses, detector }
     }
 
@@ -301,8 +325,12 @@ impl SnapshotCell {
 
     /// The current snapshot. The read lock is held only for the `Arc`
     /// clone; queries against the returned snapshot take no lock.
+    ///
+    /// A poisoned lock is recovered, not propagated: both critical
+    /// sections are a single `Arc` clone or swap, so the slot holds a whole
+    /// snapshot whichever thread panicked while holding a guard.
     pub fn load(&self) -> Arc<ReputationSnapshot> {
-        self.slot.read().expect("snapshot cell poisoned").clone()
+        self.slot.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Atomically replaces the current snapshot. In-flight readers keep
@@ -310,7 +338,7 @@ impl SnapshotCell {
     pub fn publish(&self, snapshot: ReputationSnapshot) {
         let next = Arc::new(snapshot);
         let superseded = {
-            let mut slot = self.slot.write().expect("snapshot cell poisoned");
+            let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *slot, next)
         };
         // Dropped only now, with the write lock released: when this was the
@@ -390,5 +418,78 @@ impl QueryHandle {
     /// detector.
     pub fn detect(&self, obs: &PageObservation) -> Verdict {
         self.snapshot().detect(obs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seacma_detect::PageSignals;
+    use seacma_tracker::TrackerConfig;
+
+    /// A tracker with one closed epoch: a θc-qualified near-duplicate
+    /// campaign around `base` plus `noise` far-away singletons.
+    fn tracker_around(base: u128, noise: u32) -> CampaignTracker {
+        let mut tracker = CampaignTracker::new(TrackerConfig::default());
+        for i in 0..12u32 {
+            tracker.ingest(ScreenshotPoint::new(
+                Dhash(base ^ (1 << (i % 3))),
+                format!("evil{}.club", i % 6),
+            ));
+        }
+        for i in 0..noise {
+            let h = base.rotate_left(17 + i) ^ (u128::MAX / (u128::from(i) + 3));
+            tracker.ingest(ScreenshotPoint::new(Dhash(h), format!("bg{i}.example")));
+        }
+        tracker.end_epoch();
+        tracker
+    }
+
+    #[test]
+    fn poisoned_cell_still_loads_and_publishes() {
+        let mut tracker = tracker_around(0xFACE, 0);
+        let cell = SnapshotCell::new(ReputationSnapshot::build(&tracker));
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let _guard = cell.slot.write().unwrap();
+                // Unwinds with the guard held (and without the panic
+                // hook's stderr noise): the lock is now poisoned.
+                std::panic::resume_unwind(Box::new("writer died"));
+            });
+            assert!(writer.join().is_err());
+        });
+        assert!(cell.slot.is_poisoned());
+        assert_eq!(cell.load().epoch(), 1, "readers keep the last published epoch");
+        tracker.end_epoch();
+        cell.publish(ReputationSnapshot::freeze(&tracker, Some(&cell.load())));
+        assert_eq!(cell.load().epoch(), 2, "a later publish is visible");
+    }
+
+    #[test]
+    fn foreign_previous_snapshot_rebuilds_and_answers_identically() {
+        let ours = tracker_around(0xFACE, 9);
+        let scratch = ReputationSnapshot::build(&ours);
+        let on_campaign = PageObservation { dhash: Dhash(0xFACE), signals: PageSignals::default() };
+        assert_eq!(scratch.detect(&on_campaign).kind(), "campaign");
+        // Another tracker's snapshots: disjoint hashes, then the same
+        // length as ours, then longer than ours — none is a prefix.
+        let foreigners =
+            [tracker_around(!0xFACE, 2), tracker_around(0xBEEF << 64, 9), tracker_around(7, 30)];
+        for foreign in foreigners {
+            let prev = ReputationSnapshot::build(&foreign);
+            assert!(!ours.dhashes().starts_with(prev.detector().hashes()));
+            let next = ReputationSnapshot::freeze(&ours, Some(&prev));
+            assert_eq!(next.epoch(), scratch.epoch());
+            assert_eq!(next.detector().hashes(), ours.dhashes());
+            assert_eq!(next.detector().assignments(), scratch.detector().assignments());
+            for &h in ours.dhashes().iter().chain(foreign.dhashes()) {
+                let obs =
+                    PageObservation { dhash: Dhash(h.0 ^ 0b101), signals: PageSignals::default() };
+                assert_eq!(next.detect(&obs), scratch.detect(&obs));
+                assert_eq!(next.nearest_campaign(h), scratch.nearest_campaign(h));
+            }
+            let url = "http://evil3.club/lp";
+            assert_eq!(next.lookup_url(url), scratch.lookup_url(url));
+        }
     }
 }

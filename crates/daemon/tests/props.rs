@@ -7,12 +7,19 @@
 //!    byte-identical: the resumed daemon re-serializes to the same bytes
 //!    and serves the same answers, and both runs stay identical when fed
 //!    the same remaining epochs.
+//! 3. The detector index an epoch close **carries forward** from the
+//!    previously published snapshot is indistinguishable from one built
+//!    from scratch over the tracker, and from the linear-scan oracle, at
+//!    every boundary of every epoch shape (empty, all-duplicate, one point
+//!    after a bulk epoch, resumed mid-epoch).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use seacma_daemon::offline::replay_batches;
 use seacma_daemon::{Daemon, ReputationSnapshot};
+use seacma_detect::oracle::linear_verdict;
+use seacma_detect::{PageObservation, PageSignals};
 use seacma_tracker::{LedgerConfig, TrackerConfig};
 use seacma_util::prop::Rng;
 use seacma_util::{forall, json};
@@ -260,5 +267,112 @@ fn snapshot_resume_stays_byte_identical_under_live_queries() {
             );
             done.store(true, Ordering::Relaxed);
         });
+    });
+}
+
+/// Page-load observations around a corpus: exact hits, a few bits off,
+/// the escalation band, far misses — with random structural signals, so
+/// all four verdict kinds occur.
+fn detect_pool(rng: &mut Rng, corpus: &[ScreenshotPoint], n: usize) -> Vec<PageObservation> {
+    (0..n)
+        .map(|_| {
+            let mut h = if rng.bool(0.2) { rng.u128() } else { rng.pick(corpus).dhash.0 };
+            for _ in 0..rng.below(20) {
+                h ^= 1u128 << rng.below(128);
+            }
+            let signals = PageSignals {
+                redirect_hops: rng.below(6) as u32,
+                scam_phone: rng.bool(0.3),
+                survey_gateway: rng.bool(0.3),
+                locking: rng.bool(0.2),
+                ..PageSignals::default()
+            };
+            PageObservation { dhash: Dhash(h), signals }
+        })
+        .collect()
+}
+
+/// The published snapshot against a from-scratch build over the live
+/// tracker and against the linear oracle over the served columns.
+fn assert_served_is_scratch_built(
+    daemon: &Daemon,
+    pool: &[PageObservation],
+    urls: &[String],
+    hashes: &[Dhash],
+    at: &str,
+) {
+    let served = daemon.handle().snapshot();
+    let scratch = ReputationSnapshot::build(daemon.tracker());
+    let (det, want) = (served.detector(), scratch.detector());
+    assert_eq!(det.hashes(), daemon.tracker().dhashes(), "hash column, {at}");
+    assert_eq!(det.hashes(), want.hashes(), "hash column vs scratch, {at}");
+    assert_eq!(det.assignments(), want.assignments(), "assignment column, {at}");
+    assert_eq!(det.config(), want.config(), "detector config, {at}");
+    for obs in pool {
+        let verdict = served.detect(obs);
+        assert_eq!(verdict, scratch.detect(obs), "verdict vs scratch build, {at}");
+        assert_eq!(
+            verdict,
+            linear_verdict(det.hashes(), det.assignments(), det.config(), obs),
+            "verdict vs linear oracle, {at}"
+        );
+    }
+    assert_eq!(
+        answer_sheet(&served, urls, hashes),
+        answer_sheet(&scratch, urls, hashes),
+        "url/dhash/campaign answers, {at}"
+    );
+}
+
+#[test]
+fn carried_forward_detector_equals_scratch_build_at_every_boundary() {
+    forall!(12, |rng| {
+        let config = TrackerConfig::default();
+        let n = rng.range(60, 160);
+        let corpus = synth(rng, n);
+        let (urls, hashes) = probes(rng, &corpus);
+        let pool = detect_pool(rng, &corpus, 60);
+
+        // A bulk epoch, a 1-point epoch right after it, a random split of
+        // the rest; then an empty epoch and an epoch holding only repeats
+        // of epoch-0 points, each spliced in somewhere after the bulk.
+        let bulk = n / 2;
+        let mut batches = vec![corpus[..bulk].to_vec(), corpus[bulk..=bulk].to_vec()];
+        let tail_epochs = rng.range(2, 5);
+        batches.extend(split_epochs(rng, &corpus[bulk + 1..], tail_epochs));
+        let at = rng.range(1, batches.len() + 1);
+        batches.insert(at, Vec::new());
+        let repeats: Vec<ScreenshotPoint> =
+            (0..rng.range(1, 12)).map(|_| rng.pick(&corpus[..bulk]).clone()).collect();
+        let at = rng.range(1, batches.len() + 1);
+        batches.insert(at, repeats);
+        let resume_at = rng.range(0, batches.len());
+
+        let mut daemon = Daemon::new(config);
+        assert_served_is_scratch_built(&daemon, &pool, &urls, &hashes, "boot");
+        for (e, batch) in batches.iter().enumerate() {
+            let unique_before = daemon.tracker().unique_len();
+            if e == resume_at {
+                // Restart mid-epoch: the resumed daemon's published
+                // snapshot already indexes the open epoch's points, and the
+                // next close carries *that* index forward.
+                let cut = rng.range(0, batch.len() + 1);
+                daemon.ingest_all(batch[..cut].iter().cloned());
+                daemon = Daemon::from_json(&daemon.to_json()).expect("snapshot parses");
+                let at = format!("resume in epoch {e}");
+                assert_served_is_scratch_built(&daemon, &pool, &urls, &hashes, &at);
+                daemon.ingest_all(batch[cut..].iter().cloned());
+            } else {
+                daemon.ingest_all(batch.iter().cloned());
+            }
+            let summary = daemon.close_epoch();
+            assert_eq!(summary.ingested as usize, batch.len());
+            if e > 0 && batch.iter().all(|p| corpus[..bulk].contains(p)) {
+                let unique = daemon.tracker().unique_len();
+                assert_eq!(unique, unique_before, "epoch {e} adds no unique point");
+            }
+            let at = format!("epoch {e} boundary");
+            assert_served_is_scratch_built(&daemon, &pool, &urls, &hashes, &at);
+        }
     });
 }

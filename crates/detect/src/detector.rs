@@ -177,13 +177,43 @@ impl Detector {
         assignments: &[Option<u32>],
         config: DetectorConfig,
     ) -> Self {
-        let mut assignments = assignments.to_vec();
-        assignments.resize(hashes.len(), None);
-        Detector {
-            index: HammingIndex::build_radius(hashes, config.escalated_radius()),
-            assignments,
-            config,
+        let index = HammingIndex::build_radius(hashes, config.escalated_radius());
+        Self::over(index, assignments, config)
+    }
+
+    /// The detector for a column that **extends** the one `self` indexes:
+    /// `self`'s index is cloned and only `hashes[self.len()..]` is
+    /// inserted — O(new points) bucket pushes plus one index clone, instead
+    /// of re-hashing every point into every band.
+    /// [`HammingIndex::insert`] yields the structure a rebuild would, so
+    /// the result probes exactly like
+    /// [`Detector::from_columns`]`(hashes, assignments, config)`.
+    ///
+    /// That only holds when `self`'s hash column is a prefix of `hashes`
+    /// and `config` is the one `self` was built with; both are checked
+    /// (one slice compare), and anything else — a foreign detector, a
+    /// shrunken column, a changed radius — takes the from-scratch path.
+    pub fn carried_forward(
+        &self,
+        hashes: &[Dhash],
+        assignments: &[Option<u32>],
+        config: DetectorConfig,
+    ) -> Self {
+        if self.config != config || !hashes.starts_with(self.index.hashes()) {
+            return Self::from_columns(hashes, assignments, config);
         }
+        let mut index = self.index.clone();
+        for &h in &hashes[self.index.len()..] {
+            index.insert(h);
+        }
+        Self::over(index, assignments, config)
+    }
+
+    /// Pads `assignments` to the indexed column and freezes the parts.
+    fn over(index: HammingIndex, assignments: &[Option<u32>], config: DetectorConfig) -> Self {
+        let mut assignments = assignments.to_vec();
+        assignments.resize(index.len(), None);
+        Detector { index, assignments, config }
     }
 
     /// Number of indexed points.
@@ -309,6 +339,43 @@ mod tests {
         let d = Detector::from_columns(&hashes, &[], DetectorConfig::default());
         assert_eq!(d.detect(&obs(0)), Verdict::Benign { score: 0 });
         assert_eq!(d.assignments().len(), 1);
+    }
+
+    #[test]
+    fn carried_forward_equals_scratch_build_and_rebuilds_on_a_foreign_prefix() {
+        let config = DetectorConfig::default();
+        let hashes: Vec<Dhash> =
+            (0..40u32).map(|i| Dhash((u128::from(i / 4) << 100) ^ (1u128 << (i % 4)))).collect();
+        let assign: Vec<Option<u32>> = (0..40u32).map(|i| (i % 3 != 0).then_some(i / 4)).collect();
+        let scratch = Detector::from_columns(&hashes, &assign, config);
+        // Near every point, far from all, and 18 bits off an assigned one:
+        // a miss at the escalated radius (16), a hit on a wider index.
+        let outside = obs(hashes[1].0 ^ (((1u128 << 18) - 1) << 20));
+        assert_eq!(scratch.detect(&outside).kind(), "benign");
+        let probes: Vec<PageObservation> =
+            hashes.iter().map(|h| obs(h.0 ^ 0b11)).chain([obs(0), obs(!0), outside]).collect();
+        let same = |d: &Detector| {
+            assert_eq!(d.hashes(), scratch.hashes());
+            assert_eq!(d.assignments(), scratch.assignments());
+            for p in &probes {
+                assert_eq!(d.detect(p), scratch.detect(p));
+            }
+        };
+        // Prefixes of every length, including empty and the whole column
+        // (an epoch that added nothing), with stale prefix assignments.
+        for cut in [0, 1, 17, 40] {
+            let prev = Detector::from_columns(&hashes[..cut], &[], config);
+            same(&prev.carried_forward(&hashes, &assign, config));
+        }
+        // Not a prefix: one differing hash, a longer column, another radius.
+        let mut foreign = hashes[..17].to_vec();
+        foreign[5] = Dhash(0xDEAD);
+        let carry = |prev: Detector| prev.carried_forward(&hashes, &assign, config);
+        same(&carry(Detector::from_columns(&foreign, &[], config)));
+        let longer: Vec<Dhash> = hashes.iter().copied().chain([Dhash(7)]).collect();
+        same(&carry(Detector::from_columns(&longer, &[], config)));
+        let wide = DetectorConfig { escalation_bits: 8, ..config };
+        same(&carry(Detector::from_columns(&hashes[..17], &[], wide)));
     }
 
     #[test]

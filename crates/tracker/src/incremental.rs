@@ -315,12 +315,6 @@ impl IncrementalClusterer {
     /// [`cluster_screenshots`](seacma_vision::cluster::cluster_screenshots)
     /// over the ingested prefix.
     pub fn clusters(&self) -> ScreenshotClusters {
-        self.assemble(&self.labels())
-    }
-
-    /// [`ScreenshotClusters`] for a precomputed label vector (avoids
-    /// re-deriving labels when the caller already holds them).
-    pub fn assemble(&self, labels: &[Label]) -> ScreenshotClusters {
         let arena = self.arena.read();
         let view: Vec<_> = self
             .index
@@ -329,7 +323,7 @@ impl IncrementalClusterer {
             .zip(&self.e2lds)
             .map(|(&d, &s)| (d, arena.resolve(s)))
             .collect();
-        assemble_clusters(&view, &self.originals, labels, self.params.theta_c)
+        assemble_clusters(&view, &self.originals, &self.labels(), self.params.theta_c)
     }
 
     /// Canonical serializable snapshot. Union-find parents are fully

@@ -26,17 +26,22 @@ pub struct TrackerConfig {
     pub ledger: LedgerConfig,
 }
 
-/// What one closed epoch looked like: the live cluster snapshot plus the
-/// ledger events the observation produced.
+/// What one closed epoch looked like: how many clusters the boundary
+/// held plus the ledger events the observation produced. The cluster
+/// list itself is not materialized here — [`CampaignTracker::clusters`]
+/// derives it on demand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochSummary {
     /// The epoch index (0-based, assigned in close order).
     pub epoch: u32,
     /// Points ingested during the epoch.
     pub ingested: u32,
-    /// Cluster snapshot at the boundary — byte-identical to batch
-    /// `cluster_screenshots` over everything ingested so far.
-    pub clusters: ScreenshotClusters,
+    /// DBSCAN clusters at the boundary, before θc filtering — equals
+    /// `tracker.clusters().total_clusters()`.
+    pub clusters: u32,
+    /// Clusters spanning ≥ θc distinct e2LDs at the boundary — equals
+    /// `tracker.clusters().campaigns.len()`.
+    pub campaigns: u32,
     /// Lifecycle events journaled at the boundary.
     pub events: Vec<LedgerEvent>,
 }
@@ -54,7 +59,8 @@ pub struct EpochSummary {
 ///     tracker.ingest(p);
 /// }
 /// let summary = tracker.end_epoch();
-/// assert_eq!(summary.clusters.campaigns.len(), 1);
+/// assert_eq!(summary.campaigns, 1);
+/// assert_eq!(tracker.clusters().campaigns.len(), 1);
 /// assert_eq!(tracker.ledger().campaigns().count(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -177,24 +183,32 @@ impl CampaignTracker {
         }
     }
 
-    /// Closes the current epoch: derives the exact cluster snapshot,
-    /// journals lifecycle events against the previous epoch, and advances
-    /// the epoch counter.
+    /// Closes the current epoch: derives the exact labels, journals
+    /// lifecycle events against the previous epoch, and advances the epoch
+    /// counter. Only the cluster *counts* go into the summary; the full
+    /// [`ScreenshotClusters`] (medoids, string domain sets) is
+    /// [`CampaignTracker::clusters`]' job, paid by callers that read it.
     pub fn end_epoch(&mut self) -> EpochSummary {
         let labels = self.clusterer.labels();
-        let clusters = self.clusterer.assemble(&labels);
         let observed = observed_clusters(&self.clusterer, &labels);
+        let theta_c = self.config.params.theta_c;
+        let campaigns = observed.iter().filter(|o| o.domains.len() >= theta_c).count() as u32;
         let arena = self.clusterer.arena().read();
         let events = self.ledger.observe(
             self.epoch,
             &observed,
             self.clusterer.unique_len(),
-            self.config.params.theta_c,
+            theta_c,
             &arena,
         );
         drop(arena);
-        let summary =
-            EpochSummary { epoch: self.epoch, ingested: self.epoch_ingested, clusters, events };
+        let summary = EpochSummary {
+            epoch: self.epoch,
+            ingested: self.epoch_ingested,
+            clusters: observed.len() as u32,
+            campaigns,
+            events,
+        };
         self.epoch += 1;
         self.epoch_ingested = 0;
         summary
@@ -284,7 +298,7 @@ struct TrackerState {
 }
 
 impl_json_struct!(TrackerConfig { params, ledger });
-impl_json_struct!(EpochSummary { epoch, ingested, clusters, events });
+impl_json_struct!(EpochSummary { epoch, ingested, clusters, campaigns, events });
 impl_json_struct!(TrackerState { config, clusterer, first_epoch, ledger, epoch, epoch_ingested });
 
 #[cfg(test)]
@@ -320,10 +334,26 @@ mod tests {
             tracker.ingest_all(batch);
             let summary = tracker.end_epoch();
             let batch_clusters = cluster_screenshots(&all, TrackerConfig::default().params);
-            assert_eq!(summary.clusters, batch_clusters, "epoch {}", summary.epoch);
+            assert_eq!(tracker.clusters(), batch_clusters, "epoch {}", summary.epoch);
+            assert_eq!(summary.clusters as usize, batch_clusters.total_clusters());
+            assert_eq!(summary.campaigns as usize, batch_clusters.campaigns.len());
         }
         assert_eq!(tracker.epoch(), 3);
         assert_eq!(tracker.points_ingested(), 24);
+    }
+
+    #[test]
+    fn epoch_summary_json_roundtrips() {
+        let mut tracker = CampaignTracker::new(TrackerConfig::default());
+        // One θc-qualified cluster, one below θc: the two counts differ.
+        tracker.ingest_all(campaign_points(0xAAAA_BBBB, 10, 6, "a"));
+        tracker.ingest_all(campaign_points(u128::MAX << 40, 8, 2, "b"));
+        let summary = tracker.end_epoch();
+        assert_eq!((summary.clusters, summary.campaigns), (2, 1));
+        let text = json::to_string(&summary);
+        let back: EpochSummary = json::from_str(&text).expect("summary parses");
+        assert_eq!(back, summary);
+        assert_eq!(json::to_string(&back), text);
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! 2. **Snapshot/resume** — serializing the tracker at an arbitrary point
 //!    (including mid-epoch) and resuming produces byte-identical snapshots
 //!    and summaries to the uninterrupted run.
+//!
+//! `EpochSummary` carries only cluster *counts*; each suite that closes an
+//! epoch also compares `tracker.clusters()` at the boundary, so the full
+//! list stays pinned to the batch path.
 
 use seacma_tracker::{CampaignTracker, IncrementalClusterer, TrackerConfig};
 use seacma_util::forall;
@@ -86,6 +90,26 @@ fn incremental_equals_batch_at_every_epoch_boundary() {
 }
 
 #[test]
+fn epoch_summary_counts_match_the_cluster_list_at_every_epoch() {
+    forall!(40, |rng| {
+        let config = TrackerConfig { params: gen_params(rng), ..Default::default() };
+        let n = rng.range(10, 90);
+        let pts = gen_corpus(rng, n);
+        let mut tracker = CampaignTracker::new(config);
+        let mut fed = 0;
+        for cut in gen_epoch_splits(rng, pts.len()) {
+            tracker.ingest_all(pts[fed..cut].iter().cloned());
+            fed = cut;
+            let summary = tracker.end_epoch();
+            let clusters = tracker.clusters();
+            assert_eq!(clusters, cluster_screenshots(&pts[..cut], config.params), "prefix {cut}");
+            assert_eq!(summary.clusters as usize, clusters.total_clusters(), "prefix {cut}");
+            assert_eq!(summary.campaigns as usize, clusters.campaigns.len(), "prefix {cut}");
+        }
+    });
+}
+
+#[test]
 fn exactness_holds_for_random_insertion_orders() {
     // Both paths see the *same* shuffled order (batch clustering is
     // order-sensitive in its cluster numbering, so the comparison must
@@ -127,6 +151,7 @@ fn snapshot_resume_is_byte_identical_to_uninterrupted() {
         // Sometimes snapshot at an epoch boundary, sometimes mid-epoch.
         if rng.bool(0.5) {
             assert_eq!(whole.end_epoch(), front.end_epoch());
+            assert_eq!(whole.clusters(), front.clusters());
         }
         let snap = front.to_json();
         let mut resumed = CampaignTracker::from_json(&snap).expect("snapshot parses");
@@ -136,7 +161,12 @@ fn snapshot_resume_is_byte_identical_to_uninterrupted() {
             whole.ingest(p.clone());
             resumed.ingest(p.clone());
         }
-        assert_eq!(whole.end_epoch(), resumed.end_epoch(), "summaries agree after resume");
+        let summary = whole.end_epoch();
+        assert_eq!(summary, resumed.end_epoch(), "summaries agree after resume");
+        let clusters = whole.clusters();
+        assert_eq!(clusters, resumed.clusters(), "cluster lists agree after resume");
+        assert_eq!(summary.clusters as usize, clusters.total_clusters());
+        assert_eq!(summary.campaigns as usize, clusters.campaigns.len());
         assert_eq!(whole.to_json(), resumed.to_json(), "final snapshots byte-identical");
     });
 }

@@ -214,7 +214,8 @@ fn tracking_boundaries_match_string_reference_at_any_epoch_split() {
         // Two trackers fed the same epochs: the fast one on the symbol
         // path sharing the world arena, the reference on materialized
         // string points with a private arena. Every closed epoch's
-        // summary must serialize identically.
+        // summary (counts + events) and cluster list must serialize
+        // identically.
         let mut fast =
             CampaignTracker::with_arena(pipeline.tracker_config(), discovery.arena.clone());
         let mut reference = CampaignTracker::new(pipeline.tracker_config());
@@ -230,6 +231,11 @@ fn tracking_boundaries_match_string_reference_at_any_epoch_split() {
                 json::to_string(&fast.end_epoch()),
                 json::to_string(&reference.end_epoch()),
                 "crawl epoch {day} summary diverged"
+            );
+            assert_eq!(
+                json::to_string(&fast.clusters()),
+                json::to_string(&reference.clusters()),
+                "crawl epoch {day} cluster list diverged"
             );
         }
         // The final crawl boundary also equals the batch discovery
@@ -265,6 +271,11 @@ fn tracking_boundaries_match_string_reference_at_any_epoch_split() {
                 json::to_string(&fast.end_epoch()),
                 json::to_string(&reference.end_epoch()),
                 "milking day {day} summary diverged"
+            );
+            assert_eq!(
+                json::to_string(&fast.clusters()),
+                json::to_string(&reference.clusters()),
+                "milking day {day} cluster list diverged"
             );
         }
         assert_eq!(
