@@ -11,8 +11,8 @@
 //! SE recall (fraction of true attack landings captured in SE-majority
 //! clusters).
 
-use seacma_bench::{banner, BenchArgs};
-use seacma_core::Pipeline;
+use seacma_bench::{banner, run_args};
+use seacma_core::{Pipeline, RunArgs};
 use seacma_vision::bitmap::Bitmap;
 use seacma_vision::cluster::{cluster_screenshots, ClusterParams, ScreenshotPoint};
 use seacma_vision::dhash::Dhash;
@@ -38,7 +38,7 @@ fn dhash64(image: &Bitmap) -> Dhash {
     Dhash(bits)
 }
 
-fn build_corpus(args: &BenchArgs) -> Corpus {
+fn build_corpus(args: &RunArgs) -> Corpus {
     let pipeline = Pipeline::new(args.config());
     let world = pipeline.world();
     // Re-render each landing's screenshot at both hash widths by crawling
@@ -88,7 +88,7 @@ fn evaluate(corpus: &Corpus, points: &[ScreenshotPoint], params: ClusterParams) 
 }
 
 fn main() {
-    let mut args = BenchArgs::parse();
+    let mut args = run_args();
     if !args.quick && args.publishers > 1500 {
         // The ablation re-clusters the corpus many times; a mid-size crawl
         // is plenty.

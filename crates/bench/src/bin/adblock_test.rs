@@ -1,12 +1,12 @@
 //! Regenerates the §4.4 ad-blocker experiment: latest Chrome + AdBlock
 //! Plus vs. the 11 seed networks — which ads still display?
 
-use seacma_bench::{banner, paper_note, BenchArgs};
+use seacma_bench::{banner, paper_note, run_args};
 use seacma_core::adblock::{adblock_experiment, FilterList};
 use seacma_simweb::SimTime;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("AdBlock Plus experiment (paper §4.4)");
     let pipeline = seacma_core::Pipeline::new(args.config());
     let world = pipeline.world();

@@ -3,12 +3,12 @@
 //! to an SE attack, shown twice (two stacked ad networks → two different
 //! attacks).
 
-use seacma_bench::{banner, BenchArgs};
+use seacma_bench::{banner, run_args};
 use seacma_browser::{BrowserConfig, BrowserSession};
 use seacma_simweb::{SimTime, UaProfile, Vantage};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("Figure 1: transparent-ad walkthrough");
     let (pipeline, _) = (seacma_core::Pipeline::new(args.config()), ());
     let world = pipeline.world();

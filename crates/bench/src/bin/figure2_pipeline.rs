@@ -1,14 +1,16 @@
 //! Reproduces **Figure 2** — the system overview — by running every
 //! pipeline stage and printing per-stage statistics.
 
-use seacma_bench::{banner, BenchArgs};
+use seacma_bench::{banner, run_args};
 use seacma_core::pipeline::DiscoverySummary;
 use seacma_core::report::ClusterBreakdown;
+use seacma_core::Pipeline;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("Figure 2: pipeline stage walkthrough");
-    let (pipeline, run) = args.full();
+    let pipeline = Pipeline::new(args.config());
+    let run = pipeline.run_to_completion();
 
     println!("① seed ad networks: {}", pipeline.seed_patterns().len());
     let s = DiscoverySummary::over(&run.discovery);

@@ -1,13 +1,13 @@
 //! Reproduces **Figure 3** — the backtracking graph of one SE attack
 //! load, printed as ASCII and Graphviz DOT.
 
-use seacma_bench::{banner, BenchArgs};
+use seacma_bench::{banner, run_args};
 use seacma_browser::{BrowserConfig, BrowserSession};
 use seacma_graph::{milkable, Attributor, BacktrackGraph};
 use seacma_simweb::{SimTime, UaProfile, Vantage};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("Figure 3: backtracking graph of a tech-support-scam ad load");
     let pipeline = seacma_core::Pipeline::new(args.config());
     let world = pipeline.world();

@@ -1,14 +1,14 @@
 //! Reproduces **Figure 4** — milking one upstream URL over time: the
 //! succession of fresh attack domains it yields, with GSB listing status.
 
-use seacma_bench::{banner, BenchArgs};
+use seacma_bench::{banner, run_args};
 use seacma_blacklist::{GsbService, VirusTotal};
 use seacma_milker::{Milker, MilkingSource};
 use seacma_simweb::{SeCategory, SimTime};
 use seacma_vision::dhash::dhash128;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("Figure 4: milking a single upstream URL");
     let pipeline = seacma_core::Pipeline::new(args.config());
     let world = pipeline.world();

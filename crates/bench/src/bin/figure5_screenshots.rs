@@ -6,11 +6,11 @@
 use std::fs;
 use std::path::PathBuf;
 
-use seacma_bench::{banner, BenchArgs};
+use seacma_bench::{banner, run_args};
 use seacma_simweb::visual::VisualTemplate;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("Figures 5/6: SE attack screenshot gallery");
     let dir = PathBuf::from("target/seacma-gallery");
     fs::create_dir_all(&dir).expect("create gallery dir");

@@ -7,52 +7,43 @@
 //! end of the study, for domains GSB never lists). During that window, a
 //! blacklist enriched by the milker protects users GSB does not.
 
-use seacma_bench::{banner, BenchArgs};
+use seacma_bench::{banner, run_args};
+use seacma_core::{report, Pipeline};
+use seacma_report::{Analysis, BlacklistLag, ReportInputs};
 use seacma_simweb::SimDuration;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("GSB enrichment: protection window gained by milking");
-    let (_pipeline, run) = args.full();
-    let m = &run.milking;
+    let run = Pipeline::new(args.config()).run_to_completion();
+    let mut inputs = ReportInputs::new(args.seed);
+    inputs.gsb_lag_days = report::gsb_lag_days(&run.milking);
+    inputs.gsb_unlisted = report::gsb_unlisted(&run.milking) as u64;
     let study_span = SimDuration::from_days(args.milk_days + 60);
 
-    let mut windows: Vec<f64> = Vec::new();
-    let mut never = 0usize;
-    for d in &m.discoveries {
-        match d.gsb_lag() {
-            Some(lag) => windows.push(lag.as_days()),
-            None => {
-                never += 1;
-                windows.push(study_span.as_days());
-            }
-        }
-    }
+    // One window per milked domain: GSB's lag where it listed the domain,
+    // the whole study where it never did.
+    let never = inputs.gsb_unlisted as usize;
+    let mut windows = inputs.gsb_lag_days.clone();
+    windows.resize(windows.len() + never, study_span.as_days());
     windows.sort_by(f64::total_cmp);
-    let n = windows.len().max(1);
-    let mean = windows.iter().sum::<f64>() / n as f64;
-    let median = windows[n / 2];
+    let n = windows.len();
 
-    println!("milked domains:                      {}", m.discoveries.len());
-    println!("never listed by GSB at all:          {never} ({:.1}%)", 100.0 * never as f64 / n as f64);
-    println!("protection window (days) — mean:     {mean:.1}");
-    println!("protection window (days) — median:   {median:.1}");
-    println!(
-        "window percentiles: p10 {:.1}  p50 {:.1}  p90 {:.1}",
-        windows[n / 10],
-        windows[n / 2],
-        windows[(n * 9) / 10]
-    );
-
-    // Lag distribution over the domains GSB *did* list.
-    let lags: Vec<f64> = m.discoveries.iter().filter_map(|d| d.gsb_lag()).map(|l| l.as_days()).collect();
-    if !lags.is_empty() {
-        println!("\nGSB listing lag distribution (listed domains only):");
-        print!(
-            "{}",
-            seacma_core::report::render_histogram(&lags, 8, 0.0, 40.0, "d")
+    println!("milked domains:                      {n}");
+    if n > 0 {
+        println!("never listed by GSB at all:          {never} ({:.1}%)", 100.0 * never as f64 / n as f64);
+        println!("protection window (days) — mean:     {:.1}", windows.iter().sum::<f64>() / n as f64);
+        println!("protection window (days) — median:   {:.1}", windows[n / 2]);
+        println!(
+            "window percentiles: p10 {:.1}  p50 {:.1}  p90 {:.1}",
+            windows[n / 10],
+            windows[n / 2],
+            windows[(n * 9) / 10]
         );
     }
+
+    println!("\nGSB listing lag behind the milker, cumulative over all milked domains:");
+    print!("{}", BlacklistLag.compute(&inputs).render_text());
     println!(
         "\nreading: every milked domain could be pushed to a blacklist the moment it\n\
          appears; users would be protected for the whole window during which GSB\n\

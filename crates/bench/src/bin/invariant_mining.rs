@@ -5,11 +5,11 @@
 //! boilerplate shared with other networks, and checks that the mined
 //! token reverses to the *same* publisher pool as the hand-derived one.
 
-use seacma_bench::{banner, BenchArgs};
+use seacma_bench::{banner, run_args};
 use seacma_core::invariants::{mine_world_patterns, pools_match};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("Automatic invariant mining (replaces the §3.1 manual step)");
     let pipeline = seacma_core::Pipeline::new(args.config());
     let world = pipeline.world();

@@ -6,14 +6,16 @@
 //! features only (no ground truth). We report its confusion matrix
 //! against the ground-truth labels.
 
-use seacma_bench::{banner, BenchArgs};
+use seacma_bench::{banner, run_args};
 use seacma_core::label::{BenignKind, ClusterLabel};
 use seacma_core::parking::detect_parked_clusters;
+use seacma_core::Pipeline;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("Automated parked-domain filtering (paper future work)");
-    let (pipeline, discovery) = args.discovery();
+    let pipeline = Pipeline::new(args.config());
+    let discovery = pipeline.discover();
     let landings: Vec<_> = discovery.landings().collect();
     let verdicts =
         detect_parked_clusters(pipeline.world(), &discovery.clusters.campaigns, &landings);

@@ -3,12 +3,13 @@
 //! lottery pages and push-notification permission grants — each a
 //! blacklist/feed the system produces in real time.
 
-use seacma_bench::{banner, paper_note, BenchArgs};
+use seacma_bench::{banner, paper_note, run_args};
+use seacma_core::Pipeline;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("Milked intelligence: phones, survey gateways, notification grants");
-    let (_pipeline, run) = args.full();
+    let run = Pipeline::new(args.config()).run_to_completion();
     let m = &run.milking;
 
     println!("scam phone numbers collected ({}):", m.scam_phones.len());

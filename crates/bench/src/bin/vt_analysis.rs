@@ -4,13 +4,14 @@
 
 use std::collections::HashMap;
 
-use seacma_bench::{banner, paper_note, BenchArgs};
+use seacma_bench::{banner, paper_note, run_args};
+use seacma_core::Pipeline;
 use seacma_milker::downloads::DownloadStats;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = run_args();
     banner("VirusTotal analysis of milked files (paper §4.5)");
-    let (_pipeline, run) = args.full();
+    let run = Pipeline::new(args.config()).run_to_completion();
     let files = &run.milking.files;
     let stats = DownloadStats::over(files);
     println!("files milked:                  {}", stats.total);

@@ -1,11 +1,15 @@
 //! # seacma-bench
 //!
-//! The experiment harness: one binary per table and figure of the
-//! paper's evaluation, plus `detect_eval`, the online detector's
-//! held-out quality evaluation (see `src/bin/`). Timing is not measured
-//! here — that is `benchmark/` at the repository root.
+//! The front ends. `seacma` (`src/bin/seacma.rs`) is the command-line
+//! interface to the pipeline and prints the paper's Tables 1–4, §4.3
+//! census and §6 cost through `seacma-report`'s analyses; the other
+//! binaries in `src/bin/` are bespoke walkthroughs — one per paper figure
+//! and side experiment — plus `detect_eval`, the online detector's
+//! held-out quality evaluation. Timing is not measured here — that is
+//! `benchmark/` at the repository root.
 //!
-//! Every table/figure binary accepts the same flags:
+//! `seacma` and every walkthrough binary accept the same flags
+//! ([`RunArgs`]):
 //!
 //! ```text
 //! --seed N          world seed                      (default 0x5EACA201)
@@ -20,107 +24,30 @@
 //! who wins, category orderings, evasion rates — is the reproduction
 //! target, not absolute counts.
 
-use seacma_core::{DiscoveryOutput, Pipeline, PipelineConfig, PipelineRun};
-use seacma_crawler::CrawlSchedule;
-use seacma_simweb::{SimDuration, WorldConfig};
+use std::process::exit;
 
-/// Common CLI arguments for experiment binaries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// World seed.
-    pub seed: u64,
-    /// Publisher-pool size.
-    pub publishers: u32,
-    /// Campaign scale multiplier.
-    pub scale: f64,
-    /// Milking duration (days).
-    pub milk_days: u64,
-    /// Tiny smoke-run configuration.
-    pub quick: bool,
-}
+use seacma_core::RunArgs;
 
-impl Default for BenchArgs {
-    fn default() -> Self {
-        Self { seed: 0x5EAC_A201, publishers: 3000, scale: 1.0, milk_days: 14, quick: false }
-    }
-}
-
-impl BenchArgs {
-    /// Parses `std::env::args()`; panics with usage on malformed flags.
-    pub fn parse() -> BenchArgs {
-        let mut out = BenchArgs::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            let mut grab = |name: &str| -> String {
-                args.next().unwrap_or_else(|| panic!("{name} requires a value"))
-            };
-            match flag.as_str() {
-                "--seed" => out.seed = parse_num(&grab("--seed")),
-                "--publishers" => out.publishers = parse_num(&grab("--publishers")) as u32,
-                "--scale" => {
-                    out.scale = grab("--scale").parse().expect("--scale takes a float")
-                }
-                "--milk-days" => out.milk_days = parse_num(&grab("--milk-days")),
-                "--quick" => out.quick = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --seed N --publishers N --scale F --milk-days N --quick"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}"),
-            }
+/// Parses the shared flags from `args`, or ends the process the way every
+/// front end must: `usage` on stdout and exit 0 for `--help`; the error
+/// and `usage` on stderr and exit 2 for malformed flags.
+pub fn parse_or_exit(args: impl IntoIterator<Item = String>, usage: &str) -> RunArgs {
+    match RunArgs::parse(args) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{usage}");
+            exit(0)
         }
-        out
-    }
-
-    /// Builds the pipeline configuration for these arguments.
-    pub fn config(&self) -> PipelineConfig {
-        if self.quick {
-            let mut c = PipelineConfig::small(self.seed);
-            c.milking.duration = SimDuration::from_days(self.milk_days.min(3));
-            return c;
+        Err(e) => {
+            eprintln!("{e}\n{usage}");
+            exit(2)
         }
-        let mut c = PipelineConfig {
-            world: WorldConfig {
-                seed: self.seed,
-                n_publishers: self.publishers,
-                n_hidden_only_publishers: self.publishers / 10,
-                n_advertisers: 400,
-                campaign_scale: self.scale,
-                ..Default::default()
-            },
-            // 4 lanes of 2-minute sessions: a 3k-publisher, 4-UA crawl
-            // spans ~4 virtual days — several rotation periods for every
-            // campaign category.
-            schedule: CrawlSchedule { lanes: 4, ..Default::default() },
-            ..Default::default()
-        };
-        c.milking.duration = SimDuration::from_days(self.milk_days);
-        c
-    }
-
-    /// Runs the discovery phase.
-    pub fn discovery(&self) -> (Pipeline, DiscoveryOutput) {
-        let pipeline = Pipeline::new(self.config());
-        let discovery = pipeline.discover();
-        (pipeline, discovery)
-    }
-
-    /// Runs the complete measurement.
-    pub fn full(&self) -> (Pipeline, PipelineRun) {
-        let pipeline = Pipeline::new(self.config());
-        let run = pipeline.run_to_completion();
-        (pipeline, run)
     }
 }
 
-fn parse_num(s: &str) -> u64 {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).expect("bad hex number")
-    } else {
-        s.parse().expect("bad number")
-    }
+/// The shared flags of this process's argv ([`parse_or_exit`]).
+pub fn run_args() -> RunArgs {
+    parse_or_exit(std::env::args().skip(1), &format!("flags: {}", RunArgs::USAGE))
 }
 
 /// Prints a section header for experiment output.
@@ -128,8 +55,8 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Prints the paper-reference block that accompanies every regenerated
-/// table (absolute counts differ — the harness runs at reduced scale —
+/// Prints the paper-reference block that accompanies a regenerated
+/// figure (absolute counts differ — the harness runs at reduced scale —
 /// but shapes should match).
 pub fn paper_note(lines: &[&str]) {
     println!("--- paper reference (IMC'19, full scale) ---");
@@ -140,12 +67,16 @@ pub fn paper_note(lines: &[&str]) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use seacma_core::RunArgs;
+    use seacma_simweb::SimDuration;
+
+    fn parse(argv: &[&str]) -> RunArgs {
+        RunArgs::parse(argv.iter().map(|a| a.to_string())).unwrap().unwrap()
+    }
 
     #[test]
     fn defaults_are_paper_shaped() {
-        let a = BenchArgs::default();
-        let c = a.config();
+        let c = parse(&[]).config();
         assert_eq!(c.world.campaign_scale, 1.0);
         assert_eq!(c.uas.len(), 4);
         assert_eq!(c.milking.duration, SimDuration::from_days(14));
@@ -153,15 +84,14 @@ mod tests {
 
     #[test]
     fn quick_config_is_small() {
-        let a = BenchArgs { quick: true, ..Default::default() };
-        let c = a.config();
+        let c = parse(&["--quick"]).config();
         assert!(c.world.n_publishers < 1000);
         assert!(c.milking.duration <= SimDuration::from_days(3));
     }
 
     #[test]
     fn hex_parsing() {
-        assert_eq!(parse_num("0xff"), 255);
-        assert_eq!(parse_num("42"), 42);
+        assert_eq!(parse(&["--seed", "0xff"]).seed, 255);
+        assert_eq!(parse(&["--seed", "42"]).seed, 42);
     }
 }

@@ -3,7 +3,7 @@
 //! The end-to-end SEACMA discovery-and-tracking pipeline — Figure 2 of
 //! *"What You See is NOT What You Get: Discovering and Tracking Social
 //! Engineering Attack Campaigns"* (Vadrevu & Perdisci, IMC 2019) — plus
-//! the report generators that reproduce every table of the evaluation.
+//! the typed rows behind every table of the evaluation.
 //!
 //! Pipeline stages (circled numbers are the paper's):
 //!
@@ -27,8 +27,8 @@
 //!
 //! Use [`Pipeline`] to run stages individually or
 //! [`Pipeline::run_to_completion`] for the whole measurement. [`report`]
-//! renders Tables 1–4, the cluster breakdown, the AdBlock experiment and
-//! the ethics cost analysis.
+//! computes the rows of Tables 1–4, the cluster breakdown and the ethics
+//! cost analysis; `seacma-report` turns them into tables.
 
 #![deny(missing_docs)]
 
@@ -43,7 +43,7 @@ pub mod parking;
 pub mod pipeline;
 pub mod report;
 
-pub use config::PipelineConfig;
+pub use config::{PipelineConfig, RunArgs};
 pub use label::{BenignKind, ClusterLabel};
 pub use pipeline::{DiscoveryOutput, Pipeline, PipelineRun, TrackingOutput};
 

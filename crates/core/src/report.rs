@@ -1,5 +1,7 @@
-//! Report generators: Tables 1–4, the cluster breakdown, the §6 ethics
-//! cost analysis and plain-text table rendering.
+//! Report computations: the typed rows of Tables 1–4, the cluster
+//! breakdown, the §6 ethics cost and the raw series behind the lag and
+//! cluster-size distributions. Nothing here formats text — `seacma-report`
+//! projects these rows into tables.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -9,7 +11,7 @@ use seacma_blacklist::GsbService;
 use seacma_graph::Attribution;
 use seacma_milker::MilkingOutcome;
 use seacma_simweb::categorize::Categorizer;
-use seacma_simweb::{SeCategory, SimDuration, SimTime, SiteCategory, World};
+use seacma_simweb::{AdNetworkSpec, SeCategory, SimDuration, SimTime, SiteCategory, World};
 
 use crate::label::{BenignKind, ClusterLabel};
 use crate::pipeline::{crawl_end, DiscoveryOutput};
@@ -95,38 +97,6 @@ pub fn table1(world: &World, discovery: &DiscoveryOutput) -> Vec<Table1Row> {
     rows
 }
 
-/// Renders Table 1.
-pub fn render_table1(rows: &[Table1Row]) -> String {
-    let mut body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.category.name().to_string(),
-                r.se_attacks.to_string(),
-                r.attack_domains.to_string(),
-                r.campaigns.to_string(),
-                format!("{:.1}%", r.gsb_domain_pct),
-                format!("{:.1}%", r.gsb_campaign_pct),
-            ]
-        })
-        .collect();
-    let total_attacks: usize = rows.iter().map(|r| r.se_attacks).sum();
-    let total_domains: usize = rows.iter().map(|r| r.attack_domains).sum();
-    let total_campaigns: usize = rows.iter().map(|r| r.campaigns).sum();
-    body.push(vec![
-        "TOTAL".into(),
-        total_attacks.to_string(),
-        total_domains.to_string(),
-        total_campaigns.to_string(),
-        String::new(),
-        String::new(),
-    ]);
-    render_text_table(
-        &["Category", "# SE Attacks", "# Attack Domains", "# Campaigns", "GSB% dom", "GSB% camp"],
-        &body,
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Table 2 — publisher categories
 // ---------------------------------------------------------------------------
@@ -177,17 +147,6 @@ pub fn table2(world: &World, discovery: &DiscoveryOutput, top_n: usize) -> Vec<T
     rows
 }
 
-/// Renders Table 2.
-pub fn render_table2(rows: &[Table2Row]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![r.category.name().to_string(), r.publishers.to_string(), format!("{:.2}", r.pct)]
-        })
-        .collect();
-    render_text_table(&["Category", "# Publisher Domains", "% of Total"], &body)
-}
-
 // ---------------------------------------------------------------------------
 // Table 3 — SE attacks per ad network
 // ---------------------------------------------------------------------------
@@ -210,6 +169,8 @@ pub struct Table3Row {
 /// Builds Table 3 from discovery attributions.
 pub fn table3(world: &World, discovery: &DiscoveryOutput) -> Vec<Table3Row> {
     let landings: Vec<_> = discovery.landings().collect();
+    let networks: HashMap<&str, &AdNetworkSpec> =
+        world.networks().iter().map(|n| (n.name.as_str(), n)).collect();
     let mut landing_count: HashMap<&str, usize> = HashMap::new();
     let mut se_count: HashMap<&str, usize> = HashMap::new();
     let mut domains: HashMap<&str, HashSet<String>> = HashMap::new();
@@ -229,18 +190,18 @@ pub fn table3(world: &World, discovery: &DiscoveryOutput) -> Vec<Table3Row> {
     for (i, att) in discovery.attributions.iter().enumerate() {
         match att {
             Attribution::Known(name) => {
-                let name = name.as_str();
-                *landing_count.entry(name_ref(world, name)).or_default() += 1;
+                // Only the world's own networks have a row to count into.
+                let Some(net) = networks.get(name.as_str()) else { continue };
+                let name = net.name.as_str();
+                *landing_count.entry(name).or_default() += 1;
                 if is_se[i] {
-                    *se_count.entry(name_ref(world, name)).or_default() += 1;
+                    *se_count.entry(name).or_default() += 1;
                 }
                 // Ad-serving domains seen for this network.
-                if let Some(net) = world.networks().iter().find(|n| n.name == name) {
-                    let entry = domains.entry(name_ref(world, name)).or_default();
-                    for u in &landings[i].involved_urls {
-                        if u.contains(&net.url_invariant) {
-                            entry.insert(u.host.clone());
-                        }
+                let entry = domains.entry(name).or_default();
+                for u in &landings[i].involved_urls {
+                    if u.contains(&net.url_invariant) {
+                        entry.insert(u.host.clone());
                     }
                 }
             }
@@ -280,35 +241,6 @@ pub fn table3(world: &World, discovery: &DiscoveryOutput) -> Vec<Table3Row> {
     rows
 }
 
-fn name_ref<'w>(world: &'w World, name: &str) -> &'w str {
-    world
-        .networks()
-        .iter()
-        .find(|n| n.name == name)
-        .map(|n| n.name.as_str())
-        .expect("attributed name must exist")
-}
-
-/// Renders Table 3.
-pub fn render_table3(rows: &[Table3Row]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.network.clone(),
-                if r.network == "Unknown" { "-".into() } else { r.network_domains.to_string() },
-                if r.network == "Unknown" { "-".into() } else { r.landing_pages.to_string() },
-                r.se_pages.to_string(),
-                if r.network == "Unknown" { "-".into() } else { format!("{:.2}%", r.se_pct) },
-            ]
-        })
-        .collect();
-    render_text_table(
-        &["Ad network", "# Net domains", "# Landing Pages", "# SE Attack Pages", "% SE"],
-        &body,
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Table 4 — milking
 // ---------------------------------------------------------------------------
@@ -330,77 +262,43 @@ pub struct Table4Row {
 /// Builds Table 4 from a milking outcome plus the cluster labels that map
 /// each source's cluster to a category.
 pub fn table4(labels: &[ClusterLabel], milking: &MilkingOutcome) -> Vec<Table4Row> {
-    let group_of = |cat: SeCategory| -> &'static str {
-        match cat {
-            SeCategory::FakeSoftware => "Fake Software",
-            SeCategory::LotteryGift => "Lottery/Gift",
-            SeCategory::ChromeNotifications => "Chrome Notifications",
-            SeCategory::Registration => "Registration",
-            SeCategory::Scareware | SeCategory::TechnicalSupport => "Tech Support/Scareware",
-        }
-    };
-    let order = [
+    const GROUPS: [&str; 6] = [
         "Fake Software",
         "Lottery/Gift",
         "Chrome Notifications",
         "Registration",
         "Tech Support/Scareware",
+        "Total",
     ];
-    let mut domains: HashMap<&str, usize> = HashMap::new();
-    let mut init: HashMap<&str, usize> = HashMap::new();
-    let mut fin: HashMap<&str, usize> = HashMap::new();
-    let mut total = (0usize, 0usize, 0usize);
+    let group_of = |cat: SeCategory| match cat {
+        SeCategory::FakeSoftware => 0,
+        SeCategory::LotteryGift => 1,
+        SeCategory::ChromeNotifications => 2,
+        SeCategory::Registration => 3,
+        SeCategory::Scareware | SeCategory::TechnicalSupport => 4,
+    };
+    // Per group: (domains, listed at discovery, listed eventually).
+    let mut counts = [(0usize, 0usize, 0usize); GROUPS.len()];
     for d in &milking.discoveries {
         let Some(cat) = labels.get(d.cluster).and_then(|l| l.category()) else {
             continue;
         };
-        let g = group_of(cat);
-        *domains.entry(g).or_default() += 1;
-        if d.gsb_listed_at_discovery {
-            *init.entry(g).or_default() += 1;
+        for g in [group_of(cat), GROUPS.len() - 1] {
+            counts[g].0 += 1;
+            counts[g].1 += usize::from(d.gsb_listed_at_discovery);
+            counts[g].2 += usize::from(d.gsb_listed_at.is_some());
         }
-        if d.gsb_listed_at.is_some() {
-            *fin.entry(g).or_default() += 1;
-        }
-        total.0 += 1;
-        total.1 += usize::from(d.gsb_listed_at_discovery);
-        total.2 += usize::from(d.gsb_listed_at.is_some());
     }
-    let mut rows: Vec<Table4Row> = order
+    GROUPS
         .iter()
-        .map(|g| {
-            let n = domains.get(g).copied().unwrap_or(0);
-            Table4Row {
-                group: g.to_string(),
-                domains: n,
-                gsb_init_pct: pct(init.get(g).copied().unwrap_or(0), n),
-                gsb_final_pct: pct(fin.get(g).copied().unwrap_or(0), n),
-            }
+        .zip(counts)
+        .map(|(group, (domains, init, fin))| Table4Row {
+            group: group.to_string(),
+            domains,
+            gsb_init_pct: pct(init, domains),
+            gsb_final_pct: pct(fin, domains),
         })
-        .collect();
-    rows.push(Table4Row {
-        group: "Total".into(),
-        domains: total.0,
-        gsb_init_pct: pct(total.1, total.0),
-        gsb_final_pct: pct(total.2, total.0),
-    });
-    rows
-}
-
-/// Renders Table 4.
-pub fn render_table4(rows: &[Table4Row]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.group.clone(),
-                r.domains.to_string(),
-                format!("{:.2}%", r.gsb_init_pct),
-                format!("{:.2}%", r.gsb_final_pct),
-            ]
-        })
-        .collect();
-    render_text_table(&["SE Category", "# Domains", "GSB-init", "GSB-final"], &body)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -545,154 +443,6 @@ pub fn cluster_sizes(discovery: &DiscoveryOutput) -> Vec<u32> {
     sizes
 }
 
-// ---------------------------------------------------------------------------
-// CSV rendering (machine-readable exports of the same tables)
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// ASCII histograms (figure-style terminal output)
-// ---------------------------------------------------------------------------
-
-/// Renders a horizontal ASCII histogram of `values` over `bins` equal-width
-/// buckets spanning `[min, max]`. Used for the GSB-lag distribution.
-pub fn render_histogram(values: &[f64], bins: usize, min: f64, max: f64, unit: &str) -> String {
-    if values.is_empty() || bins == 0 || max <= min {
-        return String::from("(no data)\n");
-    }
-    let width = (max - min) / bins as f64;
-    let mut counts = vec![0usize; bins];
-    for &v in values {
-        let idx = (((v - min) / width) as usize).min(bins - 1);
-        counts[idx] += 1;
-    }
-    let peak = counts.iter().copied().max().unwrap_or(1).max(1);
-    let mut out = String::new();
-    for (i, &n) in counts.iter().enumerate() {
-        let lo = min + i as f64 * width;
-        let hi = lo + width;
-        let bar = "█".repeat(n * 40 / peak);
-        out.push_str(&format!("{lo:>7.1}–{hi:<7.1} {unit} |{bar} {n}\n"));
-    }
-    out
-}
-
-/// Escapes one CSV field.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Renders rows of fields as CSV with a header line.
-pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = headers.iter().map(|h| csv_field(h)).collect::<Vec<_>>().join(",");
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.iter().map(|c| csv_field(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Table 1 as CSV.
-pub fn table1_csv(rows: &[Table1Row]) -> String {
-    render_csv(
-        &["category", "se_attacks", "attack_domains", "campaigns", "gsb_domain_pct", "gsb_campaign_pct"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.category.name().to_string(),
-                    r.se_attacks.to_string(),
-                    r.attack_domains.to_string(),
-                    r.campaigns.to_string(),
-                    format!("{:.2}", r.gsb_domain_pct),
-                    format!("{:.2}", r.gsb_campaign_pct),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Table 3 as CSV.
-pub fn table3_csv(rows: &[Table3Row]) -> String {
-    render_csv(
-        &["network", "network_domains", "landing_pages", "se_pages", "se_pct"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.network.clone(),
-                    r.network_domains.to_string(),
-                    r.landing_pages.to_string(),
-                    r.se_pages.to_string(),
-                    format!("{:.2}", r.se_pct),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Table 4 as CSV.
-pub fn table4_csv(rows: &[Table4Row]) -> String {
-    render_csv(
-        &["group", "domains", "gsb_init_pct", "gsb_final_pct"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.group.clone(),
-                    r.domains.to_string(),
-                    format!("{:.2}", r.gsb_init_pct),
-                    format!("{:.2}", r.gsb_final_pct),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Text-table rendering
-// ---------------------------------------------------------------------------
-
-/// Renders an aligned plain-text table.
-pub fn render_text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(cols) {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let sep = |w: &Vec<usize>| -> String {
-        let mut s = String::from("+");
-        for width in w {
-            s.push_str(&"-".repeat(width + 2));
-            s.push('+');
-        }
-        s.push('\n');
-        s
-    };
-    let mut out = sep(&widths);
-    out.push('|');
-    for (h, w) in headers.iter().zip(&widths) {
-        out.push_str(&format!(" {h:<w$} |"));
-    }
-    out.push('\n');
-    out.push_str(&sep(&widths));
-    for row in rows {
-        out.push('|');
-        for (cell, w) in row.iter().zip(&widths) {
-            out.push_str(&format!(" {cell:<w$} |"));
-        }
-        out.push('\n');
-    }
-    out.push_str(&sep(&widths));
-    out
-}
-
 fn pct(n: usize, total: usize) -> f64 {
     if total == 0 {
         0.0
@@ -704,51 +454,6 @@ fn pct(n: usize, total: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn text_table_alignment() {
-        let t = render_text_table(
-            &["A", "Bee"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 6);
-        let width = lines[0].len();
-        assert!(lines.iter().all(|l| l.len() == width), "ragged table:\n{t}");
-        assert!(t.contains("| 333 | 4"));
-    }
-
-    #[test]
-    fn histogram_renders_and_handles_edges() {
-        let h = render_histogram(&[1.0, 2.0, 2.5, 39.0], 4, 0.0, 40.0, "d");
-        assert_eq!(h.lines().count(), 4);
-        assert!(h.contains('█'));
-        assert_eq!(render_histogram(&[], 4, 0.0, 1.0, "d"), "(no data)\n");
-        assert_eq!(render_histogram(&[1.0], 0, 0.0, 1.0, "d"), "(no data)\n");
-        // Out-of-range values clamp into the last bucket.
-        let h2 = render_histogram(&[100.0], 2, 0.0, 10.0, "d");
-        assert!(h2.lines().last().unwrap().ends_with('1'));
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let out = render_csv(&["a", "b"], &[vec!["x,y".into(), "q\"z".into()]]);
-        assert_eq!(out, "a,b\n\"x,y\",\"q\"\"z\"\n");
-    }
-
-    #[test]
-    fn table_csvs_have_headers_and_rows() {
-        let rows = vec![Table4Row {
-            group: "Fake Software".into(),
-            domains: 10,
-            gsb_init_pct: 1.0,
-            gsb_final_pct: 20.0,
-        }];
-        let csv = table4_csv(&rows);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "group,domains,gsb_init_pct,gsb_final_pct");
-        assert_eq!(lines.next().unwrap(), "Fake Software,10,1.00,20.00");
-    }
 
     #[test]
     fn pct_safe_on_zero() {

@@ -1,11 +1,16 @@
-//! The six shipped analyses.
+//! The eleven shipped analyses.
 //!
 //! Each one is a zero-sized [`Analysis`] implementation pairing a paper
 //! view with a machine-checkable table:
 //!
+//! * [`CampaignStatistics`] — SE campaign statistics per category (Table 1).
+//! * [`PublisherCategories`] — categories of SEACMA publishers (Table 2).
+//! * [`AdnetAttribution`] — per-ad-network SE attribution (Table 3).
+//! * [`MilkedDomains`] — milked domains vs. GSB per category (Table 4).
+//! * [`ClusterCensus`] — θc-passing clusters by label (§4.3).
+//! * [`EthicsCost`] — click cost to legitimate advertisers (§6).
 //! * [`CampaignGrowth`] — lifetime histogram with growth stats (§5).
 //! * [`BlacklistLag`] — GSB detection-lag CDF over milked domains (§4.2).
-//! * [`AdnetAttribution`] — per-ad-network SE attribution (Table 3).
 //! * [`ClusterSizeDistribution`] — campaign cluster sizes (§4.3).
 //! * [`BenchTrajectory`] — the benchmark's checked-in baseline
 //!   (`benchmark/results/baseline.json`).
@@ -44,6 +49,97 @@ fn bucket_label(lo: u32, hi: u32) -> String {
         lo.to_string()
     } else {
         format!("{lo}-{hi}")
+    }
+}
+
+/// Paper Table 1: SE attacks, attack domains, campaigns and GSB detection
+/// rates per SE category, with a TOTAL row over the count columns.
+pub struct CampaignStatistics;
+
+impl Analysis for CampaignStatistics {
+    fn id(&self) -> &'static str {
+        "campaign-statistics"
+    }
+    fn title(&self) -> &'static str {
+        "Table 1: SE ad campaign statistics"
+    }
+    fn note(&self) -> &'static str {
+        "GSB % = share of attack domains (of campaigns with >= 1 such domain) GSB listed \
+         within 12 days of the crawl. Paper, 70,541 publishers — counts scale with \
+         --publishers, shapes should match:\n\
+         \x20 Fake Software   16802 attacks  2370 dom  52 camp  GSB 15.4% dom / 73.1% camp\n\
+         \x20 Registration     2909 attacks   474 dom  36 camp  GSB  0.0% dom /  0.0% camp\n\
+         \x20 Lottery/Gift     4297 attacks    50 dom   9 camp  GSB 18.0% dom / 66.7% camp\n\
+         \x20 Chrome Notif.    3419 attacks   102 dom   3 camp  GSB  0.0% dom /  0.0% camp\n\
+         \x20 Scareware        1032 attacks    71 dom   5 camp  GSB  0.0% dom /  0.0% camp\n\
+         \x20 Tech Support      464 attacks    74 dom   3 camp  GSB  1.4% dom / 33.3% camp"
+    }
+    fn compute(&self, inputs: &ReportInputs) -> Table {
+        let mut t = Table::new(
+            self.id(),
+            self.title(),
+            &["category", "SE attacks", "attack domains", "campaigns", "GSB % dom", "GSB % camp"],
+        );
+        let rows = &inputs.campaign_stats;
+        if rows.is_empty() {
+            push_no_data(&mut t);
+            return t;
+        }
+        for r in rows {
+            t.push([
+                Cell::text(r.category.name()),
+                Cell::UInt(r.se_attacks as u64),
+                Cell::UInt(r.attack_domains as u64),
+                Cell::UInt(r.campaigns as u64),
+                Cell::fixed(r.gsb_domain_pct, 1),
+                Cell::fixed(r.gsb_campaign_pct, 1),
+            ]);
+        }
+        t.push([
+            Cell::text("TOTAL"),
+            Cell::UInt(rows.iter().map(|r| r.se_attacks as u64).sum()),
+            Cell::UInt(rows.iter().map(|r| r.attack_domains as u64).sum()),
+            Cell::UInt(rows.iter().map(|r| r.campaigns as u64).sum()),
+            Cell::Absent,
+            Cell::Absent,
+        ]);
+        t
+    }
+}
+
+/// Paper Table 2: the top categories of publisher sites that hosted at
+/// least one SE attack landing.
+pub struct PublisherCategories;
+
+impl Analysis for PublisherCategories {
+    fn id(&self) -> &'static str {
+        "publisher-categories"
+    }
+    fn title(&self) -> &'static str {
+        "Table 2: categories of SEACMA ad publisher sites"
+    }
+    fn note(&self) -> &'static str {
+        "Publishers whose clicks landed on a campaign-cluster member, by site category, \
+         top 20. Paper:\n\
+         \x20 Suspicious 15.81%  Pornography 13.52%  Web Hosting 8.85%  Entertainment 6.57%\n\
+         \x20 Personal Sites 6.46%  Malicious Sources 6.25%  Dynamic DNS 4.60%  Technology 4.02%\n\
+         \x20 (20 categories total; 52 publishers in the top-10k popularity, 4 in the top-1k)"
+    }
+    fn compute(&self, inputs: &ReportInputs) -> Table {
+        let mut t =
+            Table::new(self.id(), self.title(), &["category", "publisher domains", "% of total"]);
+        if inputs.publisher_categories.is_empty() {
+            push_no_data(&mut t);
+            return t;
+        }
+        for r in &inputs.publisher_categories {
+            t.push([
+                Cell::text(r.category.name()),
+                Cell::UInt(r.publishers as u64),
+                Cell::fixed(r.pct, 2),
+            ]);
+        }
+        t
     }
 }
 
@@ -161,9 +257,9 @@ impl Analysis for BlacklistLag {
     }
 }
 
-/// Per-ad-network attribution: landing pages and SE attack pages reached
-/// through each seed network (the paper's Table 3, served as an analysis
-/// section).
+/// Paper Table 3: landing pages and SE attack pages reached through each
+/// seed ad network. The Unknown row counts SE attacks no invariant
+/// matched; it has no network, so its other cells are [`Cell::Absent`].
 ///
 /// ```
 /// use seacma_report::{AdnetAttribution, Analysis, ReportInputs};
@@ -178,12 +274,17 @@ impl Analysis for AdnetAttribution {
         "adnet-attribution"
     }
     fn title(&self) -> &'static str {
-        "Ad-network attribution"
+        "Table 3: SE attacks from each ad network"
     }
     fn note(&self) -> &'static str {
         "Attribution of every crawled landing to a seed ad network via invariant URL \
          patterns over the ad-loading chain; the Unknown row feeds the new-network \
-         discovery loop (paper Table 3)."
+         discovery loop. Paper (net domains, landing pages, SE pages):\n\
+         \x20 RevenueHits 517, 15635, 3075 (19.67%) | AdSterra 578, 15102, 7644 (50.62%)\n\
+         \x20 PopCash 2, 9734, 6256 (64.27%) | Propeller 4, 8206, 3470 (42.29%) | PopAds 3, 4658, 873 (18.74%)\n\
+         \x20 Clickadu 10, 2814, 848 (30.14%) | AdCash 14, 1698, 955 (56.24%) | HilltopAds 46, 1198, 77 (6.43%)\n\
+         \x20 PopMyAds 1, 1194, 103 (8.63%) | AdMaven 39, 496, 122 (24.60%) | Clicksor 4, 276, 12 (4.35%)\n\
+         \x20 Unknown: 5488 SE attacks (19%); 3 networks with >50% SE ads"
     }
     fn compute(&self, inputs: &ReportInputs) -> Table {
         let mut t = Table::new(
@@ -196,14 +297,142 @@ impl Analysis for AdnetAttribution {
             return t;
         }
         for r in &inputs.adnets {
+            let of_network = |c: Cell| if r.network == "Unknown" { Cell::Absent } else { c };
             t.push([
                 Cell::text(r.network.clone()),
-                Cell::UInt(r.network_domains as u64),
-                Cell::UInt(r.landing_pages as u64),
+                of_network(Cell::UInt(r.network_domains as u64)),
+                of_network(Cell::UInt(r.landing_pages as u64)),
                 Cell::UInt(r.se_pages as u64),
-                Cell::fixed(r.se_pct, 2),
+                of_network(Cell::fixed(r.se_pct, 2)),
             ]);
         }
+        t
+    }
+}
+
+/// Paper Table 4: new attack domains the milker discovered per category
+/// group, and the share GSB listed at discovery vs. after all lookups.
+pub struct MilkedDomains;
+
+impl Analysis for MilkedDomains {
+    fn id(&self) -> &'static str {
+        "milked-domains"
+    }
+    fn title(&self) -> &'static str {
+        "Table 4: tracking SEACMA campaigns (milking)"
+    }
+    fn note(&self) -> &'static str {
+        "GSB-init = listed when the milker first saw the domain; GSB-final = listed by \
+         the end of all lookups. Paper (505 milking sources, >1M sessions over 14 days; \
+         GSB >7 days slower than milking):\n\
+         \x20 Fake Software 1665 dom, 1.28% -> 18.59% | Lottery/Gift 258, 2.99% -> 4.70%\n\
+         \x20 Chrome Notifications 45, 0% -> 2.27% | Registration 47, 0% -> 0%\n\
+         \x20 Tech Support/Scareware 27, 3.70% -> 55.56% | Total 2042, 1.42% -> 16.21%"
+    }
+    fn compute(&self, inputs: &ReportInputs) -> Table {
+        let mut t = Table::new(
+            self.id(),
+            self.title(),
+            &["SE category", "domains", "GSB-init %", "GSB-final %"],
+        );
+        if inputs.milked.is_empty() {
+            push_no_data(&mut t);
+            return t;
+        }
+        for r in &inputs.milked {
+            t.push([
+                Cell::text(r.group.clone()),
+                Cell::UInt(r.domains as u64),
+                Cell::fixed(r.gsb_init_pct, 2),
+                Cell::fixed(r.gsb_final_pct, 2),
+            ]);
+        }
+        t
+    }
+}
+
+/// The §4.3 cluster census: how many θc-passing clusters are SE campaigns
+/// and how many are each kind of benign confounder.
+///
+/// ```
+/// use seacma_report::{Analysis, ClusterCensus, ReportInputs};
+///
+/// let mut inputs = ReportInputs::new(1);
+/// inputs.cluster_census.se_campaigns = 108;
+/// inputs.cluster_census.parked = 11;
+/// let t = ClusterCensus.compute(&inputs);
+/// assert_eq!(t.rows().last().unwrap()[1].render(), "119");
+/// ```
+pub struct ClusterCensus;
+
+impl Analysis for ClusterCensus {
+    fn id(&self) -> &'static str {
+        "cluster-census"
+    }
+    fn title(&self) -> &'static str {
+        "Cluster census (§4.3)"
+    }
+    fn note(&self) -> &'static str {
+        "Labels of the clusters that pass the θc domain filter. Paper: 130 clusters -> \
+         108 SEACMA campaigns + 22 benign (11 parked/inaccessible, 6 stock adult images, \
+         4 URL shorteners, 1 spurious)."
+    }
+    fn compute(&self, inputs: &ReportInputs) -> Table {
+        let mut t = Table::new(self.id(), self.title(), &["cluster kind", "clusters"]);
+        let b = &inputs.cluster_census;
+        if b.total() == 0 {
+            push_no_data(&mut t);
+            return t;
+        }
+        for (kind, n) in [
+            ("SEACMA campaigns", b.se_campaigns),
+            ("parked domains", b.parked),
+            ("stock adult images", b.stock),
+            ("URL shorteners", b.shortener),
+            ("spurious (load error)", b.spurious),
+            ("other benign", b.other),
+            ("θc-passing total", b.total()),
+        ] {
+            t.push([Cell::text(kind), Cell::UInt(n as u64)]);
+        }
+        t
+    }
+}
+
+/// The §6 ethics estimate: what the crawler's automated clicks cost the
+/// legitimate advertisers they landed on.
+pub struct EthicsCost;
+
+impl Analysis for EthicsCost {
+    fn id(&self) -> &'static str {
+        "ethics-cost"
+    }
+    fn title(&self) -> &'static str {
+        "Cost to legitimate advertisers (§6)"
+    }
+    fn note(&self) -> &'static str {
+        "Clicks that landed on non-SE advertiser domains, priced at the assumed CPM. \
+         Paper: worst case one legitimate page opened 1,209 times ≈ $4.8 at $4 CPM; \
+         average ≈ 9 clicks per legitimate domain ≈ $0.04."
+    }
+    fn compute(&self, inputs: &ReportInputs) -> Table {
+        let mut t = Table::new(self.id(), self.title(), &["quantity", "value"]);
+        let Some(e) = &inputs.ethics else {
+            push_no_data(&mut t);
+            return t;
+        };
+        let (worst_domain, worst_clicks) = match &e.worst {
+            Some((domain, n)) => (Cell::text(domain.clone()), Cell::UInt(*n as u64)),
+            None => (Cell::Absent, Cell::Absent),
+        };
+        t.push([Cell::text("legitimate (non-SE) domains hit"), Cell::UInt(e.legit_domains as u64)]);
+        t.push([Cell::text("clicks landing on them"), Cell::UInt(e.legit_clicks as u64)]);
+        t.push([Cell::text("mean clicks per legit domain"), Cell::fixed(e.mean_clicks, 1)]);
+        t.push([Cell::text("worst-case domain"), worst_domain]);
+        t.push([Cell::text("worst-case clicks"), worst_clicks]);
+        t.push([Cell::text("assumed CPM (USD)"), Cell::fixed(e.cpm_usd, 2)]);
+        t.push([Cell::text("mean cost per domain (USD)"), Cell::fixed(e.mean_cost_usd(), 3)]);
+        t.push([Cell::text("worst-case cost (USD)"), Cell::fixed(e.worst_cost_usd(), 2)]);
         t
     }
 }

@@ -3,7 +3,8 @@
 //! An analysis is compute-then-render: [`Analysis::compute`] turns
 //! [`ReportInputs`] into a typed [`Table`] (the machine-checkable
 //! artifact), and the render methods project that table into an HTML
-//! [`Section`] or dashboard [`Line`]s. The default renders cover the
+//! [`Section`] or dashboard [`Line`]s; the terminal projection is the
+//! table's own [`Table::render_text`]. The default renders cover the
 //! common table-shaped case; an analysis overrides them only to add
 //! shape (meters, extra prose) on top of the same table.
 
@@ -43,8 +44,8 @@ pub trait Analysis {
     /// Human-readable section title.
     fn title(&self) -> &'static str;
 
-    /// One sentence of context rendered above the table (paper mapping,
-    /// units). Empty by default.
+    /// Context rendered above the table (paper mapping, units, the paper's
+    /// own full-scale numbers). Empty by default.
     fn note(&self) -> &'static str {
         ""
     }
@@ -80,22 +81,8 @@ pub trait Analysis {
 /// assert!(html.contains("<section id=\"blacklist-lag\">"));
 /// ```
 pub fn compose_html(title: &str, analyses: &[Box<dyn Analysis>], inputs: &ReportInputs) -> String {
-    let mut order: Vec<usize> = (0..analyses.len()).collect();
-    order.sort_by_key(|&i| analyses[i].id());
-    for pair in order.windows(2) {
-        assert_ne!(
-            analyses[pair[0]].id(),
-            analyses[pair[1]].id(),
-            "duplicate analysis id"
-        );
-    }
-    let sections: Vec<Section> = order
-        .iter()
-        .map(|&i| {
-            let a = &analyses[i];
-            a.render_html(&a.compute(inputs))
-        })
-        .collect();
+    let sections: Vec<Section> =
+        in_id_order(analyses).iter().map(|a| a.render_html(&a.compute(inputs))).collect();
     let intro = format!(
         "Deterministic analysis report over the simulated SEACMA measurement at seed {} \
          ({} closed tracking epochs). Every section is computed by a seacma-report \
@@ -105,7 +92,42 @@ pub fn compose_html(title: &str, analyses: &[Box<dyn Analysis>], inputs: &Report
     crate::html::render_document(title, &intro, &sections)
 }
 
-/// The standard report: the six shipped analyses, one instance each.
+/// The analyses in ascending id order; a duplicate id panics.
+fn in_id_order(analyses: &[Box<dyn Analysis>]) -> Vec<&dyn Analysis> {
+    let mut ordered: Vec<&dyn Analysis> = analyses.iter().map(|a| a.as_ref()).collect();
+    ordered.sort_by_key(|a| a.id());
+    for pair in ordered.windows(2) {
+        assert_ne!(pair[0].id(), pair[1].id(), "duplicate analysis id");
+    }
+    ordered
+}
+
+/// Composes analyses into the terminal report: per analysis, in the same
+/// ascending-id order as [`compose_html`], a `== id: title ==` line, the
+/// note and the table's text grid.
+///
+/// ```
+/// use seacma_report::{compose_text, standard_analyses, ReportInputs};
+///
+/// let text = compose_text(&standard_analyses(), &ReportInputs::new(42));
+/// assert!(text.starts_with("== adnet-attribution: "));
+/// assert!(text.contains("| (no data) "));
+/// ```
+pub fn compose_text(analyses: &[Box<dyn Analysis>], inputs: &ReportInputs) -> String {
+    let mut out = String::new();
+    for a in in_id_order(analyses) {
+        out.push_str(&format!("== {}: {} ==\n", a.id(), a.title()));
+        if !a.note().is_empty() {
+            out.push_str(a.note());
+            out.push('\n');
+        }
+        out.push_str(&a.compute(inputs).render_text());
+        out.push('\n');
+    }
+    out
+}
+
+/// The standard report: the eleven shipped analyses, one instance each.
 ///
 /// ```
 /// use seacma_report::standard_analyses;
@@ -114,9 +136,14 @@ pub fn compose_html(title: &str, analyses: &[Box<dyn Analysis>], inputs: &Report
 /// assert_eq!(
 ///     ids,
 ///     [
+///         "campaign-statistics",
+///         "publisher-categories",
+///         "adnet-attribution",
+///         "milked-domains",
+///         "cluster-census",
+///         "ethics-cost",
 ///         "campaign-growth",
 ///         "blacklist-lag",
-///         "adnet-attribution",
 ///         "cluster-size-distribution",
 ///         "bench-trajectory",
 ///         "online-detection",
@@ -125,9 +152,14 @@ pub fn compose_html(title: &str, analyses: &[Box<dyn Analysis>], inputs: &Report
 /// ```
 pub fn standard_analyses() -> Vec<Box<dyn Analysis>> {
     vec![
+        Box::new(crate::analyses::CampaignStatistics),
+        Box::new(crate::analyses::PublisherCategories),
+        Box::new(crate::analyses::AdnetAttribution),
+        Box::new(crate::analyses::MilkedDomains),
+        Box::new(crate::analyses::ClusterCensus),
+        Box::new(crate::analyses::EthicsCost),
         Box::new(crate::analyses::CampaignGrowth),
         Box::new(crate::analyses::BlacklistLag),
-        Box::new(crate::analyses::AdnetAttribution),
         Box::new(crate::analyses::ClusterSizeDistribution),
         Box::new(crate::analyses::BenchTrajectory),
         Box::new(crate::analyses::OnlineDetection),

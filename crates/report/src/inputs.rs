@@ -1,18 +1,21 @@
 //! The one input bundle every [`Analysis`](crate::Analysis) computes from.
 //!
 //! [`ReportInputs`] decouples analyses from where their data came from:
-//! the `report` binary fills it from a full batch [`PipelineRun`], the
-//! `seacmad` dashboard fills it from the daemon's live
+//! the `seacma` binary fills it from a discovery phase or a full batch
+//! [`PipelineRun`], the `seacmad` dashboard fills it from the daemon's live
 //! `ReputationSnapshot`, and tests fill it by hand. Fields an origin
 //! cannot provide stay empty and the corresponding analyses render their
 //! deterministic "(no data)" row instead of failing.
 
 use std::path::Path;
 
-use seacma_core::report::{self as core_report, Table3Row};
+use seacma_core::report::{
+    self as core_report, ClusterBreakdown, EthicsReport, Table1Row, Table2Row, Table3Row,
+    Table4Row,
+};
 use seacma_core::simweb::World;
 use seacma_core::tracker::LifeState;
-use seacma_core::PipelineRun;
+use seacma_core::{DiscoveryOutput, PipelineRun};
 use seacma_util::impl_json_struct;
 use seacma_util::json::{self, Value};
 
@@ -104,7 +107,7 @@ pub const DETECT_SERIES: &str = "detect";
 /// assert_eq!(inputs.seed, 42);
 /// assert!(inputs.campaigns.is_empty()); // analyses render "(no data)"
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReportInputs {
     /// The world seed the measurement ran at (reproduction recipe).
     pub seed: u64,
@@ -118,8 +121,18 @@ pub struct ReportInputs {
     pub gsb_lag_days: Vec<f64>,
     /// Milked domains GSB never listed.
     pub gsb_unlisted: u64,
+    /// Per-category campaign statistics (core's Table 1).
+    pub campaign_stats: Vec<Table1Row>,
+    /// Top categories of SEACMA-hosting publishers (core's Table 2).
+    pub publisher_categories: Vec<Table2Row>,
     /// Per-ad-network attribution rows (core's Table 3).
     pub adnets: Vec<Table3Row>,
+    /// Milked domains per category group, Total row last (core's Table 4).
+    pub milked: Vec<Table4Row>,
+    /// θc-passing clusters by label (§4.3).
+    pub cluster_census: ClusterBreakdown,
+    /// Click cost imposed on legitimate advertisers (§6).
+    pub ethics: Option<EthicsReport>,
     /// Benchmark-baseline and detection-eval points ([`load_bench_dir`]).
     pub bench: Vec<BenchPoint>,
 }
@@ -127,21 +140,27 @@ pub struct ReportInputs {
 impl ReportInputs {
     /// An empty bundle for the given seed.
     pub fn new(seed: u64) -> Self {
+        Self { seed, ..Self::default() }
+    }
+
+    /// Extracts what a discovery phase alone provides: the clustering's
+    /// sizes and census, Tables 1–3 (Table 2 at the paper's top 20) and
+    /// the ethics cost. The tracking and milking fields stay empty.
+    pub fn from_discovery(world: &World, discovery: &DiscoveryOutput) -> Self {
         Self {
-            seed,
-            epoch: 0,
-            campaigns: Vec::new(),
-            cluster_sizes: Vec::new(),
-            gsb_lag_days: Vec::new(),
-            gsb_unlisted: 0,
-            adnets: Vec::new(),
-            bench: Vec::new(),
+            cluster_sizes: core_report::cluster_sizes(discovery),
+            campaign_stats: core_report::table1(world, discovery),
+            publisher_categories: core_report::table2(world, discovery, 20),
+            adnets: core_report::table3(world, discovery),
+            cluster_census: ClusterBreakdown::over(&discovery.labels),
+            ethics: Some(EthicsReport::over(discovery)),
+            ..Self::new(world.seed())
         }
     }
 
-    /// Extracts the full bundle from a completed batch measurement: the
-    /// ledger's campaign records, the discovery clustering, the milking
-    /// outcome's GSB lags and the attribution table.
+    /// Extracts the full bundle from a completed batch measurement:
+    /// [`ReportInputs::from_discovery`] plus the ledger's campaign records,
+    /// the milking outcome's GSB lags and Table 4.
     pub fn from_run(world: &World, run: &PipelineRun) -> Self {
         let campaigns = run
             .tracking
@@ -160,14 +179,12 @@ impl ReportInputs {
             })
             .collect();
         Self {
-            seed: world.seed(),
             epoch: run.tracking.tracker.epoch(),
             campaigns,
-            cluster_sizes: core_report::cluster_sizes(&run.discovery),
             gsb_lag_days: core_report::gsb_lag_days(&run.milking),
             gsb_unlisted: core_report::gsb_unlisted(&run.milking) as u64,
-            adnets: core_report::table3(world, &run.discovery),
-            bench: Vec::new(),
+            milked: core_report::table4(&run.discovery.labels, &run.milking),
+            ..Self::from_discovery(world, &run.discovery)
         }
     }
 
@@ -258,7 +275,12 @@ impl_json_struct!(ReportInputs {
     cluster_sizes,
     gsb_lag_days,
     gsb_unlisted,
+    campaign_stats,
+    publisher_categories,
     adnets,
+    milked,
+    cluster_census,
+    ethics,
     bench,
 });
 

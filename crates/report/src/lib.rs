@@ -1,7 +1,7 @@
 //! Deterministic analysis reports and dashboard primitives for SEACMA.
 //!
 //! This crate turns measurement outputs (pipeline runs, daemon snapshots,
-//! checked-in bench artifacts) into two kinds of renderings of the SAME
+//! checked-in bench artifacts) into three renderings of the SAME
 //! computed tables:
 //!
 //! 1. A single self-contained HTML report ([`compose_html`]) — inline CSS,
@@ -9,10 +9,13 @@
 //!    fixed seed.
 //! 2. Std-only ANSI terminal lines ([`ansi`]) for the `seacmad` live
 //!    dashboard — no ratatui, no curses, just SGR escapes.
+//! 3. Plain-text grids ([`compose_text`], [`Table::render_text`]) — what
+//!    `seacma discover`, `track` and `report` print.
 //!
 //! The unit of extension is the [`Analysis`] trait: implement `compute`
-//! (inputs → [`Table`]) and reuse the default HTML/ANSI projections. The
-//! six shipped analyses live in [`analyses`] and are assembled by
+//! (inputs → [`Table`]) and reuse the default projections. The eleven
+//! shipped analyses — the paper's Tables 1–4, §4.3 census and §6 cost
+//! among them — live in [`analyses`] and are assembled by
 //! [`standard_analyses`].
 //!
 //! ```
@@ -35,9 +38,10 @@ pub mod inputs;
 pub mod table;
 
 pub use analyses::{
-    AdnetAttribution, BenchTrajectory, BlacklistLag, CampaignGrowth, ClusterSizeDistribution,
-    OnlineDetection,
+    AdnetAttribution, BenchTrajectory, BlacklistLag, CampaignGrowth, CampaignStatistics,
+    ClusterCensus, ClusterSizeDistribution, EthicsCost, MilkedDomains, OnlineDetection,
+    PublisherCategories,
 };
-pub use analysis::{compose_html, standard_analyses, Analysis};
+pub use analysis::{compose_html, compose_text, standard_analyses, Analysis};
 pub use inputs::{load_bench_dir, BenchPoint, CampaignObs, ReportInputs, DETECT_SERIES};
 pub use table::{Cell, Table};

@@ -19,6 +19,7 @@ use seacma_util::{impl_json_enum, impl_json_struct};
 /// assert_eq!(Cell::UInt(108).render(), "108");
 /// assert_eq!(Cell::fixed(7.25, 1).render(), "7.2");
 /// assert_eq!(Cell::fixed(0.0, 2).render(), "0.00");
+/// assert_eq!(Cell::Absent.render(), "-");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
@@ -33,6 +34,9 @@ pub enum Cell {
         /// Fraction digits printed (`{:.N}` formatting).
         decimals: u8,
     },
+    /// A number the row does not have (a total over percentages, a
+    /// domain count for unattributed ads). Renders `-`.
+    Absent,
 }
 
 impl Cell {
@@ -52,10 +56,12 @@ impl Cell {
             Cell::Text(s) => s.clone(),
             Cell::UInt(n) => n.to_string(),
             Cell::Fixed { value, decimals } => format!("{value:.*}", usize::from(*decimals)),
+            Cell::Absent => "-".to_string(),
         }
     }
 
-    /// Whether the cell is numeric (right-aligned in renderers).
+    /// Whether the cell holds, or stands in for, a number (right-aligned
+    /// in HTML).
     pub fn is_numeric(&self) -> bool {
         !matches!(self, Cell::Text(_))
     }
@@ -130,13 +136,40 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Renders the table as an aligned plain-text grid (the ANSI layer
-    /// styles these same strings; tests and docs paste them verbatim).
+    /// Renders the table as an aligned plain-text grid: every line the
+    /// same width in characters, cells left-aligned (the ANSI layer styles
+    /// these same lines; tests and docs paste them verbatim).
     pub fn render_text(&self) -> String {
-        let headers: Vec<&str> = self.columns.iter().map(String::as_str).collect();
         let rows: Vec<Vec<String>> =
             self.rows.iter().map(|r| r.iter().map(Cell::render).collect()).collect();
-        seacma_core::report::render_text_table(&headers, &rows)
+        let mut widths: Vec<usize> = self.columns.iter().map(|h| h.chars().count()).collect();
+        for row in &rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        let mut sep = String::from("+");
+        for w in &widths {
+            sep.push_str(&"-".repeat(w + 2));
+            sep.push('+');
+        }
+        sep.push('\n');
+        let line = |cells: &[String]| {
+            let mut s = String::from("|");
+            for (cell, w) in cells.iter().zip(&widths) {
+                s.push_str(&format!(" {cell:<w$} |"));
+            }
+            s.push('\n');
+            s
+        };
+        let mut out = sep.clone();
+        out.push_str(&line(&self.columns));
+        out.push_str(&sep);
+        for row in &rows {
+            out.push_str(&line(row));
+        }
+        out.push_str(&sep);
+        out
     }
 }
 
@@ -144,6 +177,7 @@ impl_json_enum!(Cell {
     Text(String),
     UInt(u64),
     Fixed { value: f64, decimals: u8 },
+    Absent,
 });
 impl_json_struct!(Table { id, title, columns, rows });
 
@@ -170,10 +204,24 @@ mod tests {
         let mut t = Table::new("rt", "Round trip", &["k", "v"]);
         t.push([Cell::text("lag"), Cell::fixed(7.5, 2)]);
         t.push([Cell::text("n"), Cell::UInt(3)]);
+        t.push([Cell::text("total"), Cell::Absent]);
         let s = json::to_string(&t);
         let back: Table = json::from_str(&s).unwrap();
         assert_eq!(back, t);
         assert_eq!(json::to_string(&back), s);
+    }
+
+    #[test]
+    fn text_table_alignment() {
+        let mut t = Table::new("a", "A", &["A", "Bee"]);
+        t.push([Cell::UInt(1), Cell::UInt(2)]);
+        t.push([Cell::text("θθθ"), Cell::Absent]);
+        let out = t.render_text();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 6);
+        let width = lines[0].chars().count();
+        assert!(lines.iter().all(|l| l.chars().count() == width), "ragged table:\n{out}");
+        assert!(out.contains("| θθθ | -"), "{out}");
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! Property suite for the report composer's determinism contract:
 //! byte-identical HTML across repeated runs, stability under analysis
 //! registration order, complete section coverage and self-containment —
-//! over randomized (but seeded) input bundles.
+//! over randomized (but seeded) input bundles — and for the projections:
+//! text, HTML and ANSI all carry the table's cells, totals add up.
 
+use seacma_core::report::{
+    ClusterBreakdown, EthicsReport, Table1Row, Table2Row, Table3Row, Table4Row,
+};
+use seacma_core::simweb::{SeCategory, SiteCategory};
 use seacma_core::tracker::LifeState;
+use seacma_report::html::escape;
 use seacma_report::{
-    compose_html, standard_analyses, Analysis, BenchPoint, CampaignObs, ReportInputs,
+    compose_html, standard_analyses, Analysis, BenchPoint, CampaignObs, CampaignStatistics,
+    MilkedDomains, ReportInputs,
 };
 use seacma_util::forall;
 use seacma_util::prop::Rng;
@@ -37,6 +44,73 @@ fn arbitrary_inputs(rng: &mut Rng) -> ReportInputs {
     }
     inputs.gsb_lag_days.sort_by(f64::total_cmp);
     inputs.gsb_unlisted = rng.below(200);
+    // The paper tables: a bundle either has a discovery behind it or not.
+    if rng.bool(0.8) {
+        for category in SeCategory::ALL {
+            inputs.campaign_stats.push(Table1Row {
+                category,
+                se_attacks: rng.below(20_000) as usize,
+                attack_domains: rng.below(3_000) as usize,
+                campaigns: rng.below(60) as usize,
+                gsb_domain_pct: rng.f64_range(0.0, 100.0),
+                gsb_campaign_pct: rng.f64_range(0.0, 100.0),
+            });
+        }
+        for &category in &SiteCategory::ALL[..rng.range(1, 20)] {
+            inputs.publisher_categories.push(Table2Row {
+                category,
+                publishers: rng.below(500) as usize,
+                pct: rng.f64_range(0.0, 100.0),
+            });
+        }
+        for i in 0..rng.below(12) {
+            inputs.adnets.push(Table3Row {
+                network: format!("Net<{i}>&Co"),
+                network_domains: rng.below(600) as usize,
+                landing_pages: rng.below(16_000) as usize,
+                se_pages: rng.below(8_000) as usize,
+                se_pct: rng.f64_range(0.0, 100.0),
+            });
+        }
+        inputs.adnets.push(Table3Row {
+            network: "Unknown".to_string(),
+            network_domains: 0,
+            landing_pages: 0,
+            se_pages: rng.below(6_000) as usize,
+            se_pct: 0.0,
+        });
+        let groups = ["Fake Software", "Lottery/Gift", "Registration"];
+        for group in groups {
+            inputs.milked.push(Table4Row {
+                group: group.to_string(),
+                domains: rng.below(2_000) as usize,
+                gsb_init_pct: rng.f64_range(0.0, 10.0),
+                gsb_final_pct: rng.f64_range(10.0, 60.0),
+            });
+        }
+        inputs.milked.push(Table4Row {
+            group: "Total".to_string(),
+            domains: inputs.milked.iter().map(|r| r.domains).sum(),
+            gsb_init_pct: rng.f64_range(0.0, 10.0),
+            gsb_final_pct: rng.f64_range(10.0, 60.0),
+        });
+        inputs.cluster_census = ClusterBreakdown {
+            se_campaigns: rng.below(120) as usize,
+            parked: rng.below(12) as usize,
+            stock: rng.below(8) as usize,
+            shortener: rng.below(5) as usize,
+            spurious: rng.below(2) as usize,
+            other: rng.below(2) as usize,
+        };
+        let clicks = rng.below(1_500) as usize;
+        inputs.ethics = Some(EthicsReport {
+            cpm_usd: 4.0,
+            legit_domains: rng.below(300) as usize,
+            legit_clicks: rng.below(3_000) as usize,
+            worst: rng.bool(0.7).then(|| ("θ-shop.example".to_string(), clicks)),
+            mean_clicks: rng.f64_range(0.0, 12.0),
+        });
+    }
     for i in 0..rng.below(5) {
         inputs.bench.push(BenchPoint {
             series: format!("s{i}"),
@@ -115,6 +189,64 @@ fn ansi_plain_projection_matches_table_text() {
             let expected: Vec<String> =
                 table.render_text().lines().map(str::to_string).collect();
             assert_eq!(plain, expected, "{}", a.id());
+        }
+    });
+}
+
+/// The cells of a text grid, row by row, header first.
+fn grid_cells<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<Vec<String>> {
+    lines
+        .filter(|l| l.starts_with('|'))
+        .map(|l| {
+            let inner = l.trim_matches('|');
+            inner.split(" | ").map(|c| c.trim().to_string()).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn projections_agree_and_totals_add_up() {
+    forall!(25, |rng| {
+        let inputs = arbitrary_inputs(rng);
+        for a in standard_analyses() {
+            let table = a.compute(&inputs);
+            let mut cells: Vec<Vec<String>> = vec![table.columns().to_vec()];
+            cells.extend(table.rows().iter().map(|r| r.iter().map(|c| c.render()).collect()));
+
+            // Text: every line equally wide, and the grid holds the cells.
+            let text = table.render_text();
+            let width = text.lines().next().unwrap().chars().count();
+            assert!(text.lines().all(|l| l.chars().count() == width), "{}:\n{text}", a.id());
+            assert_eq!(grid_cells(text.lines()), cells, "{} text", a.id());
+
+            // ANSI: the same lines under a title.
+            let ansi: Vec<String> = a.render_ansi(&table).iter().map(|l| l.plain()).collect();
+            assert_eq!(grid_cells(ansi.iter().map(String::as_str)), cells, "{} ansi", a.id());
+
+            // HTML: one <th>/<td> per cell, in order, escaped.
+            let html = a.render_html(&table).html;
+            let mut at = 0;
+            for cell in cells.iter().flatten() {
+                let want = format!(">{}</t", escape(cell));
+                at += html[at..].find(&want).unwrap_or_else(|| panic!("{}: {cell:?}", a.id()))
+                    + want.len();
+            }
+        }
+
+        let uint = |table: &seacma_report::Table, row: usize, col: usize| -> u64 {
+            table.rows()[row][col].render().parse().unwrap()
+        };
+        if !inputs.campaign_stats.is_empty() {
+            let t1 = CampaignStatistics.compute(&inputs);
+            let total = t1.rows().len() - 1;
+            assert_eq!(t1.rows()[total][0].render(), "TOTAL");
+            for col in 1..=3 {
+                assert_eq!(uint(&t1, total, col), (0..total).map(|r| uint(&t1, r, col)).sum());
+            }
+            let t4 = MilkedDomains.compute(&inputs);
+            let total = t4.rows().len() - 1;
+            assert_eq!(t4.rows()[total][0].render(), "Total");
+            assert_eq!(uint(&t4, total, 1), (0..total).map(|r| uint(&t4, r, 1)).sum());
         }
     });
 }

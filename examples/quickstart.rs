@@ -6,8 +6,8 @@
 //! ```
 
 use seacma_core::pipeline::DiscoverySummary;
-use seacma_core::report::{self, ClusterBreakdown};
 use seacma_core::{Pipeline, PipelineConfig};
+use seacma_report::{Analysis, CampaignStatistics, ReportInputs};
 
 fn main() {
     // A reduced configuration: ~600 publishers, two browser profiles,
@@ -31,14 +31,15 @@ fn main() {
         "\ncrawled {} sites; {} produced third-party landings; {} landing pages",
         s.visited, s.with_landings, s.landings
     );
-    let b = ClusterBreakdown::over(&run.discovery.labels);
+    let inputs = ReportInputs::from_run(pipeline.world(), &run);
+    let b = &inputs.cluster_census;
     println!(
         "clusters: {} SEACMA campaigns, {} benign confounders",
         b.se_campaigns,
         b.benign()
     );
 
-    println!("\n{}", report::render_table1(&report::table1(pipeline.world(), &run.discovery)));
+    println!("\n{}", CampaignStatistics.compute(&inputs).render_text());
 
     println!(
         "milking: {} sources → {} fresh attack domains, {} files harvested",

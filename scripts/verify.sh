@@ -109,21 +109,32 @@ printf '%s\nquit\n' "$queries" \
 diff "$first" "$second"
 echo "daemon smoke: resumed answers byte-identical"
 
-# Report smoke: generate the HTML report twice from the same seeded run;
-# the two files must be byte-identical (the report's determinism
-# contract) and every standard analysis section must be present.
-r1=$(mktemp) r2=$(mktemp)
-trap 'rm -f "$snap" "$first" "$second" "$r1" "$r2"' EXIT
-cargo run --release --offline -p seacma-report --bin report -- \
-    --seed 42 --out "$r1" --bench-dir . 2>/dev/null
-cargo run --release --offline -p seacma-report --bin report -- \
-    --seed 42 --out "$r2" --bench-dir . 2>/dev/null
+# Report smoke, through `seacma report`. (1) The text report of a seeded
+# quick run must equal the checked-in golden — a drifted Table 1 count or
+# Table 4 GSB rate fails here with a table diff. No --bench-dir, so the
+# two bench-fed sections read "(no data)" and refreshing benchmark/ never
+# touches the golden. Regenerate after an intended change with
+#   cargo run --release -p seacma-bench --bin seacma -- report --quick --seed 42 >REPORT_seed42.txt
+# (2) Two HTML reports of the same run must be byte-identical (the
+# report's determinism contract) and carry every section the text has.
+# (3) Degenerate scale prints empty tables and exits 0.
+seacma() { cargo run --release --offline -q -p seacma-bench --bin seacma -- "$@"; }
+txt=$(mktemp) r1=$(mktemp) r2=$(mktemp)
+trap 'rm -f "$snap" "$first" "$second" "$txt" "$r1" "$r2"' EXIT
+seacma report --quick --seed 42 >"$txt"
+diff REPORT_seed42.txt "$txt"
+seacma report --quick --seed 42 --out "$r1" --bench-dir . 2>/dev/null
+seacma report --quick --seed 42 --out "$r2" --bench-dir . 2>/dev/null
 diff "$r1" "$r2"
-for id in campaign-growth blacklist-lag adnet-attribution \
-          cluster-size-distribution bench-trajectory online-detection; do
+ids=$(sed -n 's/^== \([a-z0-9-]*\): .* ==$/\1/p' "$txt")
+[ -n "$ids" ]
+for id in $ids; do
     grep -q "<section id=\"$id\">" "$r1"
 done
-echo "report smoke: two runs byte-identical, all 6 sections present"
+seacma report --publishers 0 >/dev/null
+cargo run --release --offline -q -p seacma-bench --bin gsb_enrichment -- --publishers 0 >/dev/null
+echo "report smoke: text equals REPORT_seed42.txt, two HTML runs byte-identical with all" \
+    "$(echo "$ids" | wc -l) sections, --publishers 0 exits 0"
 
 # The rustdoc gate: the public API documents warning-free (intra-doc
 # links resolve, seacma-report's #![deny(missing_docs)] holds).
