@@ -101,6 +101,19 @@ fn parse_signals<'a>(
     Ok(signals)
 }
 
+/// Saves a snapshot so that `path` always holds a complete one: the text
+/// goes to `<path>.tmp` beside it, is synced, and is renamed over `path`
+/// (atomic within a directory). A kill at any point leaves the previous
+/// snapshot — or none — under `path`, never a truncated file the next
+/// `--resume` cannot load; at worst a stale `.tmp` the next save overwrites.
+fn save_snapshot(path: &str, text: &str) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)
+}
+
 fn main() {
     let mut seed = 42u64;
     let mut epoch_ms = 500u64;
@@ -178,7 +191,7 @@ fn main() {
             };
             match cmd {
                 Ok(Command::Snapshot(path)) => {
-                    match std::fs::write(&path, daemon.to_json()) {
+                    match save_snapshot(&path, &daemon.to_json()) {
                         Ok(()) => eprintln!(
                             "seacmad: snapshot written to {path} at epoch {}",
                             daemon.epoch()
@@ -315,4 +328,44 @@ fn main() {
     let _ = tx.send(Command::Quit);
     let _ = writer.join();
     eprintln!("seacmad: bye");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seacma_tracker::TrackerConfig;
+    use seacma_vision::cluster::ScreenshotPoint;
+
+    #[test]
+    fn a_save_killed_mid_write_leaves_the_previous_snapshot_loadable() {
+        let mut daemon = Daemon::new(TrackerConfig::default());
+        daemon.ingest_all((0..12u32).map(|i| {
+            ScreenshotPoint::new(Dhash(0xFACE ^ (1 << (i % 3))), format!("evil{}.club", i % 6))
+        }));
+        daemon.close_epoch();
+        let text = daemon.to_json();
+
+        let path = std::env::temp_dir()
+            .join(format!("seacmad-save-test-{}.json", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        save_snapshot(&path, &text).expect("first save");
+        // The next save dies half-way: only its temporary file is touched.
+        std::fs::write(format!("{path}.tmp"), &text[..text.len() / 2]).expect("partial write");
+
+        let on_disk = std::fs::read_to_string(&path).expect("target still there");
+        let resumed = Daemon::from_json(&on_disk).expect("target still loads");
+        assert_eq!(on_disk, text);
+        assert_eq!(
+            json::to_string(&resumed.handle().url("evil0.club")),
+            json::to_string(&daemon.handle().url("evil0.club")),
+            "and answers as before"
+        );
+        assert_eq!(resumed.handle().epoch(), 1);
+
+        // A completed save replaces the target and consumes the temporary.
+        save_snapshot(&path, &text).expect("second save");
+        assert!(!std::path::Path::new(&format!("{path}.tmp")).exists());
+        std::fs::remove_file(&path).expect("cleanup");
+    }
 }

@@ -2,8 +2,9 @@
 //!
 //! The batch pipeline (`seacma-vision::cluster`) re-clusters the whole
 //! corpus on every run; this module maintains DBSCAN labels *online*, one
-//! screenshot at a time, with amortized ≈2 region queries per unique point
-//! — and the labels are **byte-identical** to a batch
+//! screenshot at a time, with one region query per unique point plus one
+//! per point it tips over the `min_pts` threshold — and the labels are
+//! **byte-identical** to a batch
 //! [`cluster_screenshots`](seacma_vision::cluster::cluster_screenshots)
 //! over the same prefix, at every prefix.
 //!
@@ -23,13 +24,17 @@
 //!
 //! So it suffices to maintain, under insertion: per-point neighbour counts
 //! (for 1), a union-find over core points whose root is the component's
-//! minimal core index (for 2), and each point's list of core neighbours
-//! (for 3). Insertion only ever *adds* neighbours, so a point crosses the
-//! `min_pts` threshold at most once — when it does, one extra region query
-//! wires the new core into the union-find and into its neighbours' core
-//! lists. Components only merge, never split; borders can still *move* to
-//! an older cluster (and campaign domain counts can therefore shrink —
-//! θc demotion is real, see the ledger).
+//! minimal core index (for 2), and each **non-core** point's list of core
+//! neighbours (for 3 — a core point's label never reads its list, so none
+//! is kept: a non-core point has fewer than `min_pts` neighbours counting
+//! itself, which bounds every list at `min_pts − 2` entries). Insertion
+//! only ever *adds* neighbours, so a point crosses the `min_pts` threshold
+//! at most once — when it does, its list is freed and one region query
+//! (the new point's own, when it is the new point that is born core)
+//! wires the new core into the union-find and into its non-core
+//! neighbours' lists. Components only merge, never split; borders can
+//! still *move* to an older cluster (and campaign domain counts can
+//! therefore shrink — θc demotion is real, see the ledger).
 //!
 //! # Storage: struct-of-arrays over a symbol arena
 //!
@@ -49,6 +54,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use seacma_util::impl_json_struct;
+use seacma_util::json::JsonError;
 use seacma_util::sym::{SharedArena, Sym};
 use seacma_vision::cluster::{
     assemble_clusters, ClusterParams, ScreenshotClusters, ScreenshotPoint,
@@ -79,18 +85,23 @@ pub struct IncrementalClusterer {
     /// `(dhash bits, e2LD symbol) → unique index` dedup map.
     pair_index: HashMap<(u128, Sym), u32>,
     n_original: u32,
-    /// |N(u)| per unique point, counting `u` itself.
+    /// `min(|N(u)|, min_pts)` per unique point, counting `u` itself: the
+    /// count only decides the core transition, so it stops at the
+    /// threshold and a core point is never written again.
     neighbor_count: Vec<u32>,
     core: Vec<bool>,
     /// Union-find parents over unique points; unions happen only between
     /// core points, and roots are always the minimal index of their set.
     parent: Vec<u32>,
-    /// Core points adjacent to each unique point. Each `(point, core)`
-    /// pair is recorded exactly once: at the point's insertion if the
+    /// Core points adjacent to each **non-core** unique point (at most
+    /// `min_pts − 2` of them); empty for core points. Each `(border, core)`
+    /// pair is recorded exactly once: at the border's insertion if the
     /// neighbour is already core, or at the neighbour's core transition.
     core_neighbors: Vec<Vec<u32>>,
     scratch: Vec<usize>,
     scratch2: Vec<usize>,
+    /// Threshold crossings of the insert in progress (reused scratch).
+    newly_core: Vec<u32>,
 }
 
 impl IncrementalClusterer {
@@ -117,6 +128,7 @@ impl IncrementalClusterer {
             core_neighbors: Vec::new(),
             scratch: Vec::new(),
             scratch2: Vec::new(),
+            newly_core: Vec::new(),
         }
     }
 
@@ -205,9 +217,10 @@ impl IncrementalClusterer {
     /// pair was never seen before (`None` for an exact duplicate).
     ///
     /// Updates neighbour counts, core transitions and core-component
-    /// connectivity. Amortized cost: one region query for the new point
-    /// plus one for each point it tips over the `min_pts` threshold (each
-    /// point transitions at most once, ever).
+    /// connectivity. Cost: one region query for the new point plus one for
+    /// each *other* point it tips over the `min_pts` threshold (each point
+    /// transitions at most once, ever); no allocation beyond list and
+    /// bucket growth.
     pub fn insert_sym(&mut self, dhash: Dhash, e2ld: Sym) -> Option<usize> {
         let orig = self.n_original;
         self.n_original += 1;
@@ -223,53 +236,74 @@ impl IncrementalClusterer {
             }
         }
 
+        let min_pts = self.params.min_pts;
         let u = self.index.insert(dhash);
         debug_assert_eq!(u, self.e2lds.len());
         self.e2lds.push(e2ld);
         self.originals.push(vec![orig]);
-        self.neighbor_count.push(0);
-        self.core.push(false);
         self.parent.push(u as u32);
         self.core_neighbors.push(Vec::new());
 
         let mut nb = std::mem::take(&mut self.scratch);
         self.index.neighbours_into(u, &mut nb);
-        self.neighbor_count[u] = nb.len() as u32;
+        let born_core = nb.len() >= min_pts;
+        self.neighbor_count.push(nb.len().min(min_pts) as u32);
+        self.core.push(false);
 
-        // Phase 1: bump neighbour counts and collect threshold crossings.
-        // A crossing happens exactly when the count *reaches* min_pts, so
-        // each point appears in `newly_core` at most once over its life.
-        let mut newly_core: Vec<u32> = Vec::new();
-        if nb.len() >= self.params.min_pts {
+        // Phase 1: bump the non-core neighbours' counts and collect
+        // threshold crossings. A crossing happens exactly when the count
+        // *reaches* min_pts, so each point appears in `newly_core` at most
+        // once over its life. Core neighbours are only read: their count
+        // already sits at the threshold, and `u` lists them only if it is
+        // not core itself.
+        let mut newly_core = std::mem::take(&mut self.newly_core);
+        newly_core.clear();
+        if born_core {
             newly_core.push(u as u32);
         }
         for &q in nb.iter().filter(|&&q| q != u) {
-            self.neighbor_count[q] += 1;
             if self.core[q] {
-                self.core_neighbors[u].push(q as u32);
-            } else if self.neighbor_count[q] as usize >= self.params.min_pts {
-                newly_core.push(q as u32);
+                if !born_core {
+                    self.core_neighbors[u].push(q as u32);
+                }
+            } else {
+                self.neighbor_count[q] += 1;
+                if self.neighbor_count[q] as usize >= min_pts {
+                    newly_core.push(q as u32);
+                }
             }
         }
 
         // Phase 2: mark all crossings first (so mutual unions between two
-        // simultaneously-crossing cores are seen), then wire each new core
-        // into its neighbourhood with one region query.
+        // simultaneously-crossing cores are seen) and free their lists —
+        // `Vec::new()`, not `clear()`: a core point never reads its list
+        // again — then wire each new core into its neighbourhood: union
+        // with the cores, get listed by the borders. `u`'s region is the
+        // one already in `nb` (nothing was inserted since); every other
+        // crossing costs one region query.
         for &c in &newly_core {
             self.core[c as usize] = true;
+            self.core_neighbors[c as usize] = Vec::new();
         }
         let mut nb2 = std::mem::take(&mut self.scratch2);
         for &c in &newly_core {
-            self.index.neighbours_into(c as usize, &mut nb2);
-            for &r in nb2.iter().filter(|&&r| r != c as usize) {
-                self.core_neighbors[r].push(c);
+            let region = if c as usize == u {
+                &nb
+            } else {
+                self.index.neighbours_into(c as usize, &mut nb2);
+                &nb2
+            };
+            for &r in region.iter().filter(|&&r| r != c as usize) {
                 if self.core[r] {
                     union(&mut self.parent, c, r as u32);
+                } else {
+                    self.core_neighbors[r].push(c);
                 }
             }
         }
         self.scratch = nb;
         self.scratch2 = nb2;
+        self.newly_core = newly_core;
         Some(u)
     }
 
@@ -357,7 +391,26 @@ impl IncrementalClusterer {
     /// so the resumed arena matches a never-snapshotted private arena
     /// symbol for symbol. Resuming is byte-identical to never having
     /// snapshotted.
-    pub fn from_state(state: ClustererState) -> Self {
+    ///
+    /// The state is outside input: every column is checked against the
+    /// invariants the label sweep and the insert path index by (column
+    /// lengths, parents that are roots, in-range core neighbours,
+    /// `core ⇔ count ≥ min_pts`, ascending originals) before anything is
+    /// built, so a corrupt snapshot is an `Err` here, never a later panic.
+    /// Snapshots written before the border-only bookkeeping carry full
+    /// neighbour counts and core-neighbour lists on core points too; both
+    /// are normalised (counts clamped to `min_pts`, core points' lists
+    /// dropped), so resuming one continues byte-identically to a run that
+    /// never snapshotted.
+    pub fn from_state(mut state: ClustererState) -> Result<Self, JsonError> {
+        state.validate()?;
+        let min_pts = state.params.min_pts as u32;
+        for (u, &is_core) in state.core.iter().enumerate() {
+            if is_core {
+                state.neighbor_count[u] = min_pts;
+                state.core_neighbors[u] = Vec::new();
+            }
+        }
         let hashes: Vec<_> = state.points.iter().map(|p| p.dhash).collect();
         let index = HammingIndex::build(&hashes, state.params.eps);
         let arena = SharedArena::new();
@@ -368,7 +421,7 @@ impl IncrementalClusterer {
             e2lds.push(sym);
             pair_index.insert((p.dhash.0, sym), u as u32);
         }
-        Self {
+        Ok(Self {
             params: state.params,
             arena,
             index,
@@ -382,7 +435,8 @@ impl IncrementalClusterer {
             core_neighbors: state.core_neighbors,
             scratch: Vec::new(),
             scratch2: Vec::new(),
-        }
+            newly_core: Vec::new(),
+        })
     }
 }
 
@@ -398,14 +452,64 @@ pub struct ClustererState {
     pub originals: Vec<Vec<u32>>,
     /// Total original points ingested.
     pub n_original: u32,
-    /// Neighbourhood sizes per unique point.
+    /// Neighbourhood sizes per unique point, capped at `min_pts`.
     pub neighbor_count: Vec<u32>,
     /// Core flags per unique point.
     pub core: Vec<bool>,
     /// Canonicalized union-find parents (`parent[u]` = component root).
     pub parent: Vec<u32>,
-    /// Core neighbours per unique point, in recording order.
+    /// Core neighbours per non-core point, in recording order; `[]` for
+    /// core points.
     pub core_neighbors: Vec<Vec<u32>>,
+}
+
+impl ClustererState {
+    /// Checks the cross-column invariants [`IncrementalClusterer`] indexes
+    /// by: every per-point column has one entry per point; `parent[u]` is
+    /// `u`'s component root (no larger than `u`, itself a root);
+    /// `core[u]` holds exactly when `neighbor_count[u]` reached `min_pts`;
+    /// every `core_neighbors` entry names a core point; `originals` are
+    /// non-empty, ascending and below `n_original`.
+    fn validate(&self) -> Result<(), JsonError> {
+        let n = self.points.len();
+        let columns = [
+            ("originals", self.originals.len()),
+            ("neighbor_count", self.neighbor_count.len()),
+            ("core", self.core.len()),
+            ("parent", self.parent.len()),
+            ("core_neighbors", self.core_neighbors.len()),
+        ];
+        for (name, len) in columns {
+            if len != n {
+                return Err(JsonError::msg(format!(
+                    "clusterer column `{name}` has {len} entries for {n} points"
+                )));
+            }
+        }
+        let bad = |u: usize, what: &str| {
+            Err(JsonError::msg(format!("clusterer point {u}: {what}")))
+        };
+        for u in 0..n {
+            let root = self.parent[u] as usize;
+            if root > u || self.parent[root] as usize != root {
+                return bad(u, "parent is not a component root at or below the point");
+            }
+            if self.core[u] != (self.neighbor_count[u] as usize >= self.params.min_pts) {
+                return bad(u, "core flag disagrees with neighbor_count and min_pts");
+            }
+            if self.core_neighbors[u].iter().any(|&q| self.core.get(q as usize) != Some(&true)) {
+                return bad(u, "core_neighbors names a point that is not core");
+            }
+            let originals = &self.originals[u];
+            if originals.is_empty()
+                || !originals.windows(2).all(|w| w[0] < w[1])
+                || originals.last().is_some_and(|&o| o >= self.n_original)
+            {
+                return bad(u, "originals are not non-empty, ascending and below n_original");
+            }
+        }
+        Ok(())
+    }
 }
 
 impl_json_struct!(ClustererState {
@@ -546,7 +650,8 @@ mod tests {
             whole.insert(p.clone());
             front.insert(p.clone());
         }
-        let mut resumed = IncrementalClusterer::from_state(front.to_state());
+        let mut resumed =
+            IncrementalClusterer::from_state(front.to_state()).expect("own state is valid");
         assert_eq!(
             resumed.arena().len(),
             front.arena().len(),

@@ -237,9 +237,13 @@ impl CampaignTracker {
     }
 
     /// Restores a tracker from a [`CampaignTracker::to_json`] snapshot.
+    /// The text is outside input: a truncated or internally inconsistent
+    /// snapshot (a column of the wrong length, an index out of range) is
+    /// an `Err`, never a panic here or at a later epoch close.
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
         let state: TrackerState = json::from_str(text)?;
-        let clusterer = IncrementalClusterer::from_state(state.clusterer);
+        state.validate()?;
+        let clusterer = IncrementalClusterer::from_state(state.clusterer)?;
         // The ledger re-interns its domains against the clusterer's
         // just-restored arena — every campaign domain is an e2LD the
         // clusterer already interned, so symbol values land exactly where
@@ -295,6 +299,41 @@ struct TrackerState {
     ledger: LedgerState,
     epoch: u32,
     epoch_ingested: u32,
+}
+
+impl TrackerState {
+    /// Checks what ties the tracker's own columns to the clusterer's
+    /// (whose internal invariants [`IncrementalClusterer::from_state`]
+    /// checks): one epoch stamp per unique point, ledger assignments that
+    /// name existing records, records whose id is their position and
+    /// whose epochs are ordered — everything an epoch close or a
+    /// reputation snapshot indexes or subtracts by.
+    fn validate(&self) -> Result<(), JsonError> {
+        let n = self.clusterer.points.len();
+        if self.first_epoch.len() != n {
+            return Err(JsonError::msg(format!(
+                "tracker column `first_epoch` has {} entries for {n} points",
+                self.first_epoch.len()
+            )));
+        }
+        let records = &self.ledger.records;
+        if self.ledger.assign.len() > n
+            || self.ledger.assign.iter().flatten().any(|&id| id as usize >= records.len())
+        {
+            return Err(JsonError::msg("ledger assignments name a missing point or record"));
+        }
+        for (i, r) in records.iter().enumerate() {
+            if r.id as usize != i
+                || r.birth_epoch > r.last_growth_epoch
+                || r.last_growth_epoch > self.epoch
+            {
+                return Err(JsonError::msg(format!(
+                    "ledger record {i}: id or epochs out of order"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl_json_struct!(TrackerConfig { params, ledger });

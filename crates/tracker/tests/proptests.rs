@@ -10,15 +10,23 @@
 //!    (including mid-epoch) and resuming produces byte-identical snapshots
 //!    and summaries to the uninterrupted run.
 //!
+//! Since ISSUE 16 also: **border-only bookkeeping** — at every prefix the
+//! clusterer keeps core-neighbour lists for non-core points only, each
+//! equal to the brute-force set — a checked-in **parent-format snapshot**
+//! that must resume byte-identically, and a **hostile-snapshot** table
+//! (`from_json` answers `Err`, never a panic now or at the next close).
+//!
 //! `EpochSummary` carries only cluster *counts*; each suite that closes an
 //! epoch also compares `tracker.clusters()` at the boundary, so the full
 //! list stays pinned to the batch path.
 
 use seacma_tracker::{CampaignTracker, IncrementalClusterer, TrackerConfig};
 use seacma_util::forall;
+use seacma_util::json::{self, Value};
 use seacma_util::prop::Rng;
 use seacma_vision::cluster::{cluster_screenshots, ClusterParams, ScreenshotPoint};
-use seacma_vision::dhash::Dhash;
+use seacma_vision::dhash::{hamming, Dhash};
+use seacma_vision::index::radius_for_eps;
 
 /// A corpus with planted near-duplicate campaigns (rotating domains),
 /// exact duplicates and background noise — every dedup/border/noise path.
@@ -169,4 +177,191 @@ fn snapshot_resume_is_byte_identical_to_uninterrupted() {
         assert_eq!(summary.campaigns as usize, clusters.campaigns.len());
         assert_eq!(whole.to_json(), resumed.to_json(), "final snapshots byte-identical");
     });
+}
+
+#[test]
+fn core_neighbour_lists_are_kept_for_borders_only_at_every_prefix() {
+    forall!(40, |rng| {
+        let params = gen_params(rng);
+        let n = rng.range(10, 70);
+        let pts = gen_corpus(rng, n);
+        let radius = radius_for_eps(params.eps);
+        let mut inc = IncrementalClusterer::new(params);
+        for (i, p) in pts.iter().enumerate() {
+            inc.insert(p.clone());
+            let state = inc.to_state();
+            let at = format!("prefix {} with {params:?}", i + 1);
+            // Brute-force neighbourhoods (each counting the point itself).
+            let uniq = &state.points;
+            let hoods: Vec<Vec<u32>> = uniq
+                .iter()
+                .map(|a| {
+                    (0..uniq.len() as u32)
+                        .filter(|&q| hamming(a.dhash, uniq[q as usize].dhash) <= radius)
+                        .collect()
+                })
+                .collect();
+            let is_core = |u: usize| hoods[u].len() >= params.min_pts;
+            let mut listed = 0;
+            let mut non_core = 0;
+            for u in 0..uniq.len() {
+                assert_eq!(state.core[u], is_core(u), "core flag of {u}, {at}");
+                assert_eq!(
+                    state.neighbor_count[u] as usize,
+                    params.min_pts.min(hoods[u].len()),
+                    "count of {u}, {at}"
+                );
+                if is_core(u) {
+                    assert!(state.core_neighbors[u].is_empty(), "core {u} keeps a list, {at}");
+                } else {
+                    let mut got = state.core_neighbors[u].clone();
+                    got.sort_unstable();
+                    let want: Vec<u32> = hoods[u]
+                        .iter()
+                        .copied()
+                        .filter(|&q| q as usize != u && is_core(q as usize))
+                        .collect();
+                    assert_eq!(got, want, "core neighbours of non-core {u}, {at}");
+                    listed += got.len();
+                    non_core += 1;
+                }
+            }
+            assert!(listed <= params.min_pts.saturating_sub(2) * non_core, "list volume, {at}");
+        }
+    });
+}
+
+/// A tracker snapshot written by the commit before the border-only
+/// bookkeeping (PR 14's code: full neighbour counts, core-neighbour lists
+/// on core points too), taken after `fixture_sequence()[..20]`, one epoch
+/// close, and `[20..30]` mid-epoch.
+const PARENT_FORMAT_SNAPSHOT: &str = include_str!("fixtures/tracker_pr14.json");
+
+/// The ingestion sequence behind [`PARENT_FORMAT_SNAPSHOT`] plus a tail:
+/// two campaigns, noise, one exact duplicate, a border of the first
+/// campaign (`border.club`) and, in the tail, the point that tips that
+/// border over `min_pts` (`tip.club`).
+fn fixture_sequence() -> Vec<ScreenshotPoint> {
+    const A: u128 = 0x0123_4567_89AB_CDEF_0F1E_2D3C_4B5A_6978;
+    let mut seq: Vec<ScreenshotPoint> = (0..45u32)
+        .map(|i| match i % 4 {
+            0 | 1 => ScreenshotPoint::new(
+                Dhash(A ^ (1u128 << (i * 7 % 64)) ^ (1u128 << (64 + i * 5 % 32))),
+                format!("a{}.club", i % 7),
+            ),
+            2 => ScreenshotPoint::new(Dhash(!A ^ (1u128 << (i % 3))), format!("b{}.xyz", i % 5)),
+            _ => ScreenshotPoint::new(
+                Dhash(u128::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835)),
+                format!("noise{i}.com"),
+            ),
+        })
+        .collect();
+    let border = seq[0].dhash.0 ^ (0xFFFu128 << 100);
+    seq.insert(9, ScreenshotPoint::new(Dhash(border), "border.club"));
+    seq.insert(38, ScreenshotPoint::new(Dhash(border ^ (1u128 << 127)), "tip.club"));
+    seq.insert(25, seq[4].clone());
+    seq
+}
+
+#[test]
+fn parent_format_snapshot_resumes_byte_identically() {
+    let seq = fixture_sequence();
+    let config = TrackerConfig::default();
+    let mut resumed =
+        CampaignTracker::from_json(PARENT_FORMAT_SNAPSHOT).expect("parent-format snapshot loads");
+    assert_eq!(resumed.clusters(), cluster_screenshots(&seq[..30], config.params));
+    assert_ne!(
+        resumed.to_json(),
+        PARENT_FORMAT_SNAPSHOT,
+        "the fixture must stay in the parent format (lists on core points), or this test \
+         checks nothing: do not regenerate it"
+    );
+
+    let mut fresh = CampaignTracker::new(config);
+    fresh.ingest_all(seq[..20].iter().cloned());
+    fresh.end_epoch();
+    fresh.ingest_all(seq[20..30].iter().cloned());
+    assert_eq!(resumed.to_json(), fresh.to_json(), "load normalises to what this code writes");
+
+    resumed.ingest_all(seq[30..].iter().cloned());
+    fresh.ingest_all(seq[30..].iter().cloned());
+    assert_eq!(resumed.end_epoch(), fresh.end_epoch());
+    assert_eq!(resumed.to_json(), fresh.to_json(), "resume then continue == never snapshotted");
+    assert_eq!(resumed.clusters(), cluster_screenshots(&seq, config.params));
+}
+
+/// `snapshot` with the array at `path` (object keys and array positions,
+/// outermost first) edited by `edit`.
+fn with_array_edited(snapshot: &str, path: &[&str], edit: impl FnOnce(&mut Vec<Value>)) -> String {
+    let mut root = json::parse(snapshot).expect("base snapshot parses");
+    let mut at = &mut root;
+    for step in path {
+        at = match at {
+            Value::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == step).expect("key").1,
+            Value::Arr(items) => &mut items[step.parse::<usize>().expect("array position")],
+            other => panic!("cannot step into {other:?}"),
+        };
+    }
+    let Value::Arr(items) = at else { panic!("{path:?} is not an array") };
+    edit(items);
+    json::to_string(&root)
+}
+
+#[test]
+fn corrupt_snapshots_are_errors_not_panics() {
+    let base = PARENT_FORMAT_SNAPSHOT;
+    let unedited = with_array_edited(base, &["clusterer", "parent"], |_| {});
+    assert!(CampaignTracker::from_json(&unedited).is_ok(), "the edit helper round-trips");
+
+    let uint = |v: u32| Value::UInt(u128::from(v));
+    let set = |path: &[&str], at: usize, v: Value| with_array_edited(base, path, |a| a[at] = v);
+    // In the fixture: point 0 is a core root, 4 and 5 hang under it, 3 is
+    // noise, 9 is a border whose one core neighbour is 0; 30 originals.
+    let mut hostile: Vec<(String, String)> = vec![
+        ("parent out of range".into(), set(&["clusterer", "parent"], 0, uint(999_999))),
+        ("parent above the point".into(), set(&["clusterer", "parent"], 1, uint(5))),
+        ("parent not a root".into(), set(&["clusterer", "parent"], 5, uint(4))),
+        (
+            "core neighbour out of range".into(),
+            set(&["clusterer", "core_neighbors"], 9, Value::Arr(vec![uint(999_999)])),
+        ),
+        (
+            "core neighbour not core".into(),
+            set(&["clusterer", "core_neighbors"], 9, Value::Arr(vec![uint(3)])),
+        ),
+        ("core flag without the count".into(), set(&["clusterer", "core"], 3, Value::Bool(true))),
+        ("count without the core flag".into(), set(&["clusterer", "neighbor_count"], 3, uint(3))),
+        ("empty originals".into(), set(&["clusterer", "originals"], 2, Value::Arr(vec![]))),
+        (
+            "descending originals".into(),
+            set(&["clusterer", "originals"], 4, Value::Arr(vec![uint(25), uint(4)])),
+        ),
+        (
+            "original beyond n_original".into(),
+            set(&["clusterer", "originals"], 0, Value::Arr(vec![uint(30)])),
+        ),
+        ("assignment to a missing record".into(), set(&["ledger", "assign"], 0, uint(77))),
+        (
+            "ledger record out of position".into(),
+            with_array_edited(base, &["ledger", "records"], |a| a.swap(0, 1)),
+        ),
+    ];
+    for column in ["points", "originals", "neighbor_count", "core", "parent", "core_neighbors"] {
+        let short = with_array_edited(base, &["clusterer", column], |a| {
+            a.pop();
+        });
+        hostile.push((format!("short column {column}"), short));
+    }
+    hostile.push((
+        "short column first_epoch".into(),
+        with_array_edited(base, &["first_epoch"], |a| {
+            a.pop();
+        }),
+    ));
+    for cut in (0..base.len()).step_by(97) {
+        hostile.push((format!("truncated at byte {cut}"), base[..cut].to_string()));
+    }
+    for (what, text) in &hostile {
+        assert!(CampaignTracker::from_json(text).is_err(), "{what}: accepted");
+    }
 }

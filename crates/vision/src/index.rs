@@ -198,6 +198,36 @@ impl HammingIndex {
     /// For an indexed `p`, `neighbours_of_hash(hash_of(p))` equals
     /// [`HammingIndex::neighbours_into`]`(p)` — same set, same order.
     pub fn neighbours_of_hash(&self, h: Dhash, out: &mut Vec<usize>) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: `scan_popcnt` requires only that the running CPU
+            // implements `popcnt`, which the CPUID-backed detection macro
+            // on the line above has just reported.
+            return unsafe { self.scan_popcnt(h, out) };
+        }
+        self.scan(h, out);
+    }
+
+    /// [`HammingIndex::scan`] compiled with the `popcnt` instruction, so
+    /// the per-candidate `count_ones` is one instruction instead of the
+    /// baseline x86-64 target's bit-twiddling sequence. Same body, same
+    /// output.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must implement `popcnt`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    unsafe fn scan_popcnt(&self, h: Dhash, out: &mut Vec<usize>) {
+        self.scan(h, out);
+    }
+
+    /// The one region-scan body behind [`HammingIndex::neighbours_of_hash`].
+    /// `#[inline(always)]` so each caller compiles its own copy under its
+    /// own target features: the portable one, and
+    /// [`HammingIndex::scan_popcnt`]'s.
+    #[inline(always)]
+    fn scan(&self, h: Dhash, out: &mut Vec<usize>) {
         out.clear();
         if self.radius >= HASH_BITS {
             out.extend(0..self.hashes.len());
@@ -297,12 +327,18 @@ mod tests {
         for i in 0..20 {
             hashes.push(Dhash(base ^ (1u128 << (i % 7))));
         }
-        for eps in [0.05, 0.1, 0.2] {
+        // The public query runs whichever `scan` instantiation the CPU
+        // selects; driving the portable body directly keeps it covered on
+        // machines that report `popcnt`.
+        for eps in [0.0, 0.05, 0.1, 0.2] {
             let index = HammingIndex::build(&hashes, eps);
-            let mut out = Vec::new();
+            let (mut out, mut portable) = (Vec::new(), Vec::new());
             for p in 0..hashes.len() {
-                index.neighbours_into(p, &mut out);
-                assert_eq!(out, brute(&hashes, p, index.radius()), "p={p} eps={eps}");
+                let want = brute(&hashes, p, index.radius());
+                index.neighbours_of_hash(hashes[p], &mut out);
+                assert_eq!(out, want, "dispatched, p={p} eps={eps}");
+                index.scan(hashes[p], &mut portable);
+                assert_eq!(portable, want, "portable scan, p={p} eps={eps}");
             }
         }
     }
