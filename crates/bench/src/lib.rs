@@ -1,15 +1,13 @@
 //! # seacma-bench
 //!
 //! The front ends. `seacma` (`src/bin/seacma.rs`) is the command-line
-//! interface to the pipeline and prints the paper's Tables 1–4, §4.3
-//! census and §6 cost through `seacma-report`'s analyses; the other
-//! binaries in `src/bin/` are bespoke walkthroughs — one per paper figure
-//! and side experiment — plus `detect_eval`, the online detector's
+//! interface to the pipeline: every table and figure of the evaluation,
+//! and every side experiment, is a `seacma-report` analysis it prints
+//! (`seacma report [--only ID]`). `detect_eval` is the online detector's
 //! held-out quality evaluation. Timing is not measured here — that is
 //! `benchmark/` at the repository root.
 //!
-//! `seacma` and every walkthrough binary accept the same flags
-//! ([`RunArgs`]):
+//! `seacma` takes the shared flags ([`seacma_core::RunArgs`]):
 //!
 //! ```text
 //! --seed N          world seed                      (default 0x5EACA201)
@@ -23,47 +21,6 @@
 //! sites, the default harness ~1/9 of that. The *shape* of every table —
 //! who wins, category orderings, evasion rates — is the reproduction
 //! target, not absolute counts.
-
-use std::process::exit;
-
-use seacma_core::RunArgs;
-
-/// Parses the shared flags from `args`, or ends the process the way every
-/// front end must: `usage` on stdout and exit 0 for `--help`; the error
-/// and `usage` on stderr and exit 2 for malformed flags.
-pub fn parse_or_exit(args: impl IntoIterator<Item = String>, usage: &str) -> RunArgs {
-    match RunArgs::parse(args) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{usage}");
-            exit(0)
-        }
-        Err(e) => {
-            eprintln!("{e}\n{usage}");
-            exit(2)
-        }
-    }
-}
-
-/// The shared flags of this process's argv ([`parse_or_exit`]).
-pub fn run_args() -> RunArgs {
-    parse_or_exit(std::env::args().skip(1), &format!("flags: {}", RunArgs::USAGE))
-}
-
-/// Prints a section header for experiment output.
-pub fn banner(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// Prints the paper-reference block that accompanies a regenerated
-/// figure (absolute counts differ — the harness runs at reduced scale —
-/// but shapes should match).
-pub fn paper_note(lines: &[&str]) {
-    println!("--- paper reference (IMC'19, full scale) ---");
-    for l in lines {
-        println!("  {l}");
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -38,11 +38,6 @@ impl GsbParams {
             SeCategory::TechnicalSupport => GsbParams { p_detect: 0.55, spread_days: 50.0 },
         }
     }
-
-    /// Mean listing delay (days), conditional on detection: `spread / 3`.
-    pub fn mean_delay_days(&self) -> f64 {
-        self.spread_days / 3.0
-    }
 }
 
 /// Result of a GSB lookup.

@@ -456,18 +456,6 @@ impl<'w> BrowserSession<'w> {
         }
     }
 
-    /// The perceptual hash [`render_screenshot`](Self::render_screenshot)
-    /// would hash to, computed through the fused render-free pass (no
-    /// pixel buffer). Bit-identity with render-then-hash is pinned by
-    /// `seacma-simweb`'s split-render properties.
-    pub fn hash_screenshot(&self, url: &Url, page: &Page) -> Dhash {
-        let seed = screenshot_seed(self.world, url, self.clock);
-        match self.cache {
-            Some(cache) => cache.dhash(page.visual, seed),
-            None => VisualTemplate::dhash_from_clean(&page.visual.render_clean(), seed),
-        }
-    }
-
     /// Clicks an element's action (or a page-level ad listener action),
     /// returning the landing page when the action navigates somewhere.
     ///

@@ -93,8 +93,8 @@ impl PipelineConfig {
     }
 }
 
-/// The flags every seeded front end takes — the `seacma` subcommands and
-/// the experiment binaries: which world to generate and how long to milk.
+/// The flags the `seacma` subcommands take: which world to generate and
+/// how long to milk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
     /// World seed.

@@ -258,6 +258,7 @@ mod tests {
                 DomainDiscovery {
                     domain: "fresh1.top".into(),
                     landing_url: Url::http("fresh1.top", "/idx"),
+                    dhash: Dhash(u128::MAX - 7),
                     source_idx: 0,
                     cluster: 1,
                     first_seen: SimTime(10),
@@ -267,6 +268,7 @@ mod tests {
                 DomainDiscovery {
                     domain: "fresh2.club".into(),
                     landing_url: Url::http("fresh2.club", "/idx"),
+                    dhash: Dhash(2),
                     source_idx: 1,
                     cluster: 1,
                     first_seen: SimTime(20),

@@ -20,6 +20,7 @@ use std::collections::HashSet;
 
 use seacma_graph::NetworkPattern;
 use seacma_simweb::Url;
+use seacma_util::impl_json_struct;
 
 /// Minimum invariant length considered meaningful (shorter strings are
 /// too likely to match unrelated code).
@@ -115,13 +116,27 @@ pub fn mine_pattern(
     MinedPattern { js_token, url_token }
 }
 
+/// One seed network's mined signature, checked against the hand-derived
+/// invariant it is meant to replace.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MinedNetwork {
+    /// Network name.
+    pub network: String,
+    /// What the miner found.
+    pub mined: MinedPattern,
+    /// Whether the mined JS token reverses to exactly the publisher pool
+    /// the network's hand-derived JS invariant reverses to.
+    pub pool_match: bool,
+}
+
 /// Mines seed patterns for every seed-listed network in a world, from
 /// `samples_per_network` publisher snippets each — the automated stand-in
-/// for the paper's manual stage ①. Returns `(network name, mined)` pairs.
+/// for the paper's manual stage ① — and checks each mined JS token
+/// against the hand-derived invariant's publisher pool.
 pub fn mine_world_patterns(
     world: &seacma_simweb::World,
     samples_per_network: usize,
-) -> Vec<(String, MinedPattern)> {
+) -> Vec<MinedNetwork> {
     let seed = world.seed();
     let mut out = Vec::new();
     let nets: Vec<_> = world.networks().iter().filter(|n| n.seed_listed).collect();
@@ -150,14 +165,15 @@ pub fn mine_world_patterns(
         let snippet_refs: Vec<&str> = snippets.iter().map(String::as_str).collect();
         let other_refs: Vec<&str> = others.iter().map(String::as_str).collect();
         let mined = mine_pattern(&snippet_refs, &other_refs, &urls, &other_urls);
-        out.push((n.name.clone(), mined));
+        let pool_match =
+            mined.js_token.as_deref().is_some_and(|tok| pools_match(world, tok, &n.js_invariant));
+        out.push(MinedNetwork { network: n.name.clone(), mined, pool_match });
     }
     out
 }
 
-/// Convenience: checks that a mined token set recovers the same publisher
-/// pool as a reference token (used in evaluation).
-pub fn pools_match(world: &seacma_simweb::World, mined: &str, reference: &str) -> bool {
+/// Whether two source-search tokens recover the same publisher pool.
+fn pools_match(world: &seacma_simweb::World, mined: &str, reference: &str) -> bool {
     let search = seacma_simweb::search::SourceSearch::new(world);
     let a: HashSet<_> = search.search(mined).into_iter().collect();
     let b: HashSet<_> = search.search(reference).into_iter().collect();
@@ -217,3 +233,5 @@ mod tests {
         assert!(toks.iter().any(|t| t.contains("_invariant_")));
     }
 }
+impl_json_struct!(MinedPattern { js_token, url_token });
+impl_json_struct!(MinedNetwork { network, mined, pool_match });

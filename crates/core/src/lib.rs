@@ -27,11 +27,14 @@
 //!
 //! Use [`Pipeline`] to run stages individually or
 //! [`Pipeline::run_to_completion`] for the whole measurement. [`report`]
-//! computes the rows of Tables 1–4, the cluster breakdown and the ethics
-//! cost analysis; `seacma-report` turns them into tables.
+//! computes the rows of Tables 1–4, the Figure 2 funnel, the cluster
+//! breakdown, the milking views and the ethics cost analysis; the side
+//! experiments ([`adblock`], [`parking`], [`invariants`], [`ablation`])
+//! compute theirs; `seacma-report` turns them all into tables.
 
 #![deny(missing_docs)]
 
+pub mod ablation;
 pub mod adblock;
 pub mod config;
 pub mod detecteval;

@@ -19,6 +19,9 @@ use seacma_crawler::LandingRecord;
 use seacma_simweb::{ElementKind, Page, Vantage, World};
 use seacma_vision::cluster::ScreenshotCluster;
 
+use crate::label::{BenignKind, ClusterLabel};
+use crate::pipeline::DiscoveryOutput;
+
 /// Structural features extracted from a landing page.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParkingFeatures {
@@ -106,6 +109,60 @@ pub fn detect_parked_clusters(
     clusters.iter().map(|c| cluster_is_parked(world, c, landings)).collect()
 }
 
+/// The filter's confusion matrix against the ground-truth cluster labels.
+/// Filtering a non-parked benign confounder is harmless; filtering an SE
+/// campaign is the one real failure mode.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ParkingConfusion {
+    /// Parked clusters the filter removed.
+    pub parked_filtered: usize,
+    /// Parked clusters it kept.
+    pub parked_missed: usize,
+    /// Stock-image / shortener / spurious clusters it also removed.
+    pub other_benign_filtered: usize,
+    /// SE campaigns it wrongly removed.
+    pub campaigns_filtered: usize,
+    /// Everything else: kept for manual review.
+    pub kept: usize,
+}
+
+impl ParkingConfusion {
+    /// Runs [`detect_parked_clusters`] over a discovery's θc-passing
+    /// clusters and tallies the verdicts against their labels.
+    pub fn over(world: &World, discovery: &DiscoveryOutput) -> ParkingConfusion {
+        let landings: Vec<_> = discovery.landings().collect();
+        let parked = detect_parked_clusters(world, &discovery.clusters.campaigns, &landings);
+        let mut c = ParkingConfusion::default();
+        for (label, parked) in discovery.labels.iter().zip(parked) {
+            match (label, parked) {
+                (ClusterLabel::Benign(BenignKind::Parked), true) => c.parked_filtered += 1,
+                (ClusterLabel::Benign(BenignKind::Parked), false) => c.parked_missed += 1,
+                (ClusterLabel::Campaign(_), true) => c.campaigns_filtered += 1,
+                (ClusterLabel::Benign(_), true) => c.other_benign_filtered += 1,
+                (_, false) => c.kept += 1,
+            }
+        }
+        c
+    }
+
+    /// Clusters evaluated.
+    pub fn evaluated(&self) -> usize {
+        self.parked_filtered
+            + self.parked_missed
+            + self.other_benign_filtered
+            + self.campaigns_filtered
+            + self.kept
+    }
+
+    /// Share of parked clusters the filter removed (1.0 when there are none).
+    pub fn parked_recall(&self) -> f64 {
+        match self.parked_filtered + self.parked_missed {
+            0 => 1.0,
+            parked => self.parked_filtered as f64 / parked as f64,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,3 +214,10 @@ mod tests {
     }
 }
 impl_json_struct!(ParkingFeatures { no_scripts, no_interactive, placeholder_title, inert });
+impl_json_struct!(ParkingConfusion {
+    parked_filtered,
+    parked_missed,
+    other_benign_filtered,
+    campaigns_filtered,
+    kept,
+});

@@ -1,6 +1,5 @@
 //! The end-to-end pipeline (Figure 2).
 
-use seacma_util::impl_json_struct;
 use seacma_util::sym::{SharedArena, Sym};
 
 use seacma_blacklist::{GsbService, VirusTotal};
@@ -10,7 +9,7 @@ use seacma_milker::{
     validate_candidates, Milker, MilkingCandidate, MilkingOutcome, MilkingSource,
 };
 use seacma_simweb::search::SourceSearch;
-use seacma_simweb::{det, PublisherId, SimTime, UaProfile, Vantage, World, DAY};
+use seacma_simweb::{det, PublisherId, SimTime, Vantage, World, DAY};
 use seacma_tracker::{CampaignTracker, EpochSummary, TrackerConfig};
 use seacma_vision::cluster::{cluster_sym_columns_parallel, ScreenshotClusters, ScreenshotPoint};
 use seacma_vision::dhash::Dhash;
@@ -63,16 +62,6 @@ impl DiscoveryOutput {
     /// Borrowing iterator — callers that need random access collect it.
     pub fn landings(&self) -> impl Iterator<Item = &LandingRecord> {
         self.crawl.landings()
-    }
-
-    /// Indices of clusters labeled as SEACMA campaigns.
-    pub fn campaign_cluster_indices(&self) -> Vec<usize> {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.is_campaign())
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -367,11 +356,10 @@ impl Pipeline {
     /// exactly as [`Pipeline::track_milking`] ingests them.
     pub fn milking_epoch_batches(
         &self,
-        sources: &[MilkingSource],
         milking: &MilkingOutcome,
         start: SimTime,
     ) -> Vec<Vec<ScreenshotPoint>> {
-        let feed = seacma_milker::trackfeed::discovery_points(&self.world, sources, milking);
+        let feed = seacma_milker::trackfeed::discovery_points(milking);
         let days = self.config.milking.duration.minutes().div_ceil(DAY.minutes()).max(1);
         seacma_milker::trackfeed::epoch_batches(&feed, start, days)
     }
@@ -512,14 +500,7 @@ impl Pipeline {
         let discovery = self.discover();
         let (mut tracker, crawl_epochs) = self.track(&discovery);
         // Milking starts right after the last crawl pass.
-        let crawl_end = discovery
-            .crawl
-            .visits
-            .iter()
-            .map(|v| v.started)
-            .max()
-            .unwrap_or(SimTime::EPOCH)
-            + seacma_simweb::HOUR;
+        let crawl_end = crawl_end(&discovery.crawl) + seacma_simweb::HOUR;
         let sources = self.milking_sources(&discovery, &tracker, crawl_end);
         let mut vt = VirusTotal::new(self.world.seed() ^ 0x7A);
         let milking = self.milk(&sources, crawl_end, &mut vt);
@@ -539,54 +520,3 @@ impl Pipeline {
 pub fn crawl_end(crawl: &CrawlDataset) -> SimTime {
     crawl.visits.iter().map(|v| v.started).max().unwrap_or(SimTime::EPOCH)
 }
-
-/// Pick the UA set actually exercised in a dataset (for reporting).
-pub fn uas_used(crawl: &CrawlDataset) -> Vec<UaProfile> {
-    let mut uas: Vec<UaProfile> = crawl.visits.iter().map(|v| v.ua).collect();
-    uas.sort_by_key(|u| u.index());
-    uas.dedup();
-    uas
-}
-
-#[derive(Debug, Clone)]
-/// Summary counters for the discovery phase (used by Figure-2 output).
-pub struct DiscoverySummary {
-    /// Publishers in the reversed pool.
-    pub pool_size: usize,
-    /// Publishers visited.
-    pub visited: usize,
-    /// Publishers whose clicks produced third-party landings.
-    pub with_landings: usize,
-    /// Landing pages captured.
-    pub landings: usize,
-    /// Clusters before θc filtering.
-    pub clusters_total: usize,
-    /// Candidate campaign clusters (θc survivors).
-    pub campaign_clusters: usize,
-    /// Clusters labeled as SEACMA campaigns.
-    pub se_campaigns: usize,
-}
-
-impl DiscoverySummary {
-    /// Computes the summary.
-    pub fn over(d: &DiscoveryOutput) -> Self {
-        Self {
-            pool_size: d.institutional_pool.len() + d.residential_pool.len(),
-            visited: d.crawl.publishers_visited(),
-            with_landings: d.crawl.publishers_with_landings(),
-            landings: d.crawl.landing_count(),
-            clusters_total: d.clusters.total_clusters(),
-            campaign_clusters: d.clusters.campaigns.len(),
-            se_campaigns: d.labels.iter().filter(|l| l.is_campaign()).count(),
-        }
-    }
-}
-impl_json_struct!(DiscoverySummary {
-    pool_size,
-    visited,
-    with_landings,
-    landings,
-    clusters_total,
-    campaign_clusters,
-    se_campaigns,
-});

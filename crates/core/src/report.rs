@@ -1,20 +1,27 @@
-//! Report computations: the typed rows of Tables 1–4, the cluster
-//! breakdown, the §6 ethics cost and the raw series behind the lag and
-//! cluster-size distributions. Nothing here formats text — `seacma-report`
-//! projects these rows into tables.
+//! Report computations: the typed rows of Tables 1–4, the Figure 2
+//! funnel and Figure 4 timeline, the cluster breakdown, the §4.5 file
+//! tallies, the §6 ethics cost and the raw series behind the lag,
+//! protection-window and cluster-size distributions. Nothing here formats
+//! text — `seacma-report` projects these rows into tables.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use seacma_util::impl_json_struct;
 
 use seacma_blacklist::GsbService;
 use seacma_graph::Attribution;
-use seacma_milker::MilkingOutcome;
+use seacma_milker::downloads::DownloadStats;
+use seacma_milker::{
+    DomainDiscovery, MilkedFile, MilkingConfig, MilkingOutcome, MilkingSource,
+};
 use seacma_simweb::categorize::Categorizer;
-use seacma_simweb::{AdNetworkSpec, SeCategory, SimDuration, SimTime, SiteCategory, World};
+use seacma_simweb::{
+    AdNetworkSpec, FileFormat, SeCategory, SimDuration, SimTime, SiteCategory, World,
+};
 
 use crate::label::{BenignKind, ClusterLabel};
-use crate::pipeline::{crawl_end, DiscoveryOutput};
+use crate::pipeline::{crawl_end, DiscoveryOutput, PipelineRun};
 
 /// How long after the crawl the Table-1 GSB lookups are anchored (the
 /// paper kept checking domains throughout the study).
@@ -443,7 +450,162 @@ pub fn cluster_sizes(discovery: &DiscoveryOutput) -> Vec<u32> {
     sizes
 }
 
-fn pct(n: usize, total: usize) -> f64 {
+// ---------------------------------------------------------------------------
+// Figure 2 — the pipeline funnel
+// ---------------------------------------------------------------------------
+
+/// One count of the Figure 2 funnel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FunnelRow {
+    /// Pipeline stage, by the paper's circled number.
+    pub stage: String,
+    /// What is counted.
+    pub quantity: String,
+    /// How many.
+    pub count: u64,
+}
+
+fn funnel_rows(counts: &[(&str, &str, usize)]) -> Vec<FunnelRow> {
+    counts
+        .iter()
+        .map(|&(stage, quantity, count)| FunnelRow {
+            stage: stage.to_string(),
+            quantity: quantity.to_string(),
+            count: count as u64,
+        })
+        .collect()
+}
+
+/// Stages ①–⑤ of the funnel: what a discovery phase alone counts.
+pub fn funnel_discovery(world: &World, d: &DiscoveryOutput) -> Vec<FunnelRow> {
+    let (reversal, crawl, clustering) = ("② publisher reversal", "③ crawl", "④⑤ clustering");
+    let ranked_within =
+        |n| world.publishers().iter().filter(|p| p.rank.is_some_and(|r| r <= n)).count();
+    funnel_rows(&[
+        ("① seed networks", "seed ad networks", world.networks().iter().filter(|n| n.seed_listed).count()),
+        (reversal, "reversed publisher pool", d.institutional_pool.len() + d.residential_pool.len()),
+        (reversal, "institutional pool", d.institutional_pool.len()),
+        (reversal, "residential pool (cloaking networks)", d.residential_pool.len()),
+        (reversal, "residential publishers visited", d.residential_visited),
+        (reversal, "world publishers ranked in the top 10k", ranked_within(10_000)),
+        (reversal, "world publishers ranked in the top 1k", ranked_within(1_000)),
+        (crawl, "publishers visited", d.crawl.publishers_visited()),
+        (crawl, "publishers with third-party landings", d.crawl.publishers_with_landings()),
+        (crawl, "ad clicks", d.crawl.click_count() as usize),
+        (crawl, "landing pages", d.crawl.landing_count()),
+        (crawl, "SE attack landings (ground truth)", d.landings().filter(|l| l.truth_is_attack).count()),
+        (clustering, "clusters before the θc filter", d.clusters.total_clusters()),
+        (clustering, "clusters filtered by θc", d.clusters.filtered.len()),
+        (clustering, "noise points", d.clusters.noise),
+        (clustering, "θc-passing clusters", d.clusters.campaigns.len()),
+        (clustering, "SE campaigns among them", d.labels.iter().filter(|l| l.is_campaign()).count()),
+    ])
+}
+
+/// Stages ⑥–⑦ of the funnel: milking and the attribution feedback loop,
+/// which need the whole run. Appended to [`funnel_discovery`]'s rows.
+pub fn funnel_tracking(run: &PipelineRun) -> Vec<FunnelRow> {
+    let (d, m, n) = (&run.discovery, &run.milking, &run.new_networks);
+    let attributed = d
+        .landings()
+        .zip(&d.attributions)
+        .filter(|(l, a)| l.truth_is_attack && **a != Attribution::Unknown)
+        .count();
+    let names: Vec<String> =
+        n.new_patterns.iter().map(|p| format!("{} ({})", p.name, p.url_invariant)).collect();
+    let new_networks = format!("new networks identified [{}]", names.join(", "));
+    let (milking, attribution) = ("⑥ milking", "⑦ attribution");
+    funnel_rows(&[
+        (milking, "validated milking sources", run.sources.len()),
+        (milking, "milking sessions", m.sessions as usize),
+        (milking, "new attack domains", m.discoveries.len()),
+        (milking, "files milked", m.files.len()),
+        (attribution, "SE attacks attributed to seed networks", attributed),
+        (attribution, "SE attacks from unknown networks", n.unknown_attacks),
+        (attribution, &new_networks, n.new_patterns.len()),
+        (attribution, "publishers added by re-querying the source search", n.new_publishers),
+    ])
+}
+
+// ---------------------------------------------------------------------------
+// Milked files (§4.5), protection windows (§6), the Figure 4 timeline
+// ---------------------------------------------------------------------------
+
+/// The §4.5 VirusTotal tallies over the milked files, as `(what, files)`
+/// rows: the total first, then the known-at-submit / flagged-after-rescan
+/// counts of [`DownloadStats`], then files per download format and per
+/// predominant AV label after the rescan, most common first. Empty when
+/// nothing was milked.
+pub fn milked_file_tallies(files: &[MilkedFile]) -> Vec<(String, usize)> {
+    if files.is_empty() {
+        return Vec::new();
+    }
+    let stats = DownloadStats::over(files);
+    let (mut formats, mut labels) = (BTreeMap::new(), BTreeMap::new());
+    for f in files {
+        let format = match f.payload.format {
+            FileFormat::Pe => "format: Windows PE",
+            FileFormat::Dmg => "format: macOS DMG",
+            FileFormat::Crx => "format: extension CRX",
+        };
+        *formats.entry(format.to_string()).or_default() += 1;
+        if let Some(label) = f.final_report.as_ref().and_then(|r| r.label.as_deref()) {
+            *labels.entry(format!("label: {label}")).or_default() += 1;
+        }
+    }
+    let mut rows = vec![
+        ("files milked".to_string(), stats.total),
+        ("already known to VT at submit".to_string(), stats.known_at_submit),
+        ("flagged malicious after rescan".to_string(), stats.finally_malicious),
+        ("flagged by >= 15 engines".to_string(), stats.flagged_15_plus),
+    ];
+    for tally in [formats, labels] {
+        // Name order from the map, then a stable sort: ties stay by name.
+        let mut tally: Vec<(String, usize)> = tally.into_iter().collect();
+        tally.sort_by_key(|&(_, n)| Reverse(n));
+        rows.extend(tally);
+    }
+    rows
+}
+
+/// The §6 blacklist-enrichment series: per milked domain, the *protection
+/// window* in days between the milker's discovery and GSB's own listing —
+/// the whole study (`config`'s milking duration plus the delay of its
+/// final GSB lookup) for a domain GSB never lists. A blacklist fed by the
+/// milker protects users for that long before GSB does. Ascending.
+pub fn protection_windows(milking: &MilkingOutcome, config: MilkingConfig) -> Vec<f64> {
+    let study_span = config.duration + config.final_lookup_after;
+    let mut windows: Vec<f64> = milking
+        .discoveries
+        .iter()
+        .map(|d| d.gsb_lag().unwrap_or(study_span).as_days())
+        .collect();
+    windows.sort_by(f64::total_cmp);
+    windows
+}
+
+/// Figure 4 over a run: the fake-software source that yielded the most
+/// domains (lowest source index on ties) and its discoveries in
+/// chronological order. `None` when no fake-software source found any.
+pub fn milking_timeline<'a>(
+    labels: &[ClusterLabel],
+    sources: &'a [MilkingSource],
+    milking: &'a MilkingOutcome,
+) -> Option<(&'a MilkingSource, Vec<&'a DomainDiscovery>)> {
+    let fake_software = |idx: usize| {
+        labels.get(sources[idx].cluster).and_then(|l| l.category())
+            == Some(SeCategory::FakeSoftware)
+    };
+    let (&idx, _) = milking
+        .timelines
+        .iter()
+        .filter(|(&idx, _)| fake_software(idx))
+        .max_by_key(|(&idx, timeline)| (timeline.len(), Reverse(idx)))?;
+    Some((&sources[idx], milking.discoveries.iter().filter(|d| d.source_idx == idx).collect()))
+}
+
+/// `n` as a percentage of `total`; 0 when `total` is 0.
+pub fn pct(n: usize, total: usize) -> f64 {
     if total == 0 {
         0.0
     } else {
@@ -490,3 +652,4 @@ impl_json_struct!(Table3Row { network, network_domains, landing_pages, se_pages,
 impl_json_struct!(Table4Row { group, domains, gsb_init_pct, gsb_final_pct });
 impl_json_struct!(ClusterBreakdown { se_campaigns, parked, stock, shortener, spurious, other });
 impl_json_struct!(EthicsReport { cpm_usd, legit_domains, legit_clicks, worst, mean_clicks });
+impl_json_struct!(FunnelRow { stage, quantity, count });

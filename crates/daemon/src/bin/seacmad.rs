@@ -114,31 +114,49 @@ fn save_snapshot(path: &str, text: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn main() {
-    let mut seed = 42u64;
-    let mut epoch_ms = 500u64;
-    let mut resume: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--epoch-ms" => {
-                epoch_ms = args.next().and_then(|v| v.parse().ok()).unwrap_or(epoch_ms)
-            }
-            "--resume" => resume = args.next(),
-            "--help" | "-h" => {
-                eprintln!("usage: seacmad [--seed N] [--epoch-ms MS] [--resume PATH]");
-                eprintln!("queries on stdin:");
-                for (syntax, desc) in COMMANDS {
-                    eprintln!("  {syntax:<42} {desc}");
-                }
-                return;
-            }
-            other => {
-                eprintln!("seacmad: unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
+/// What argv selects: the world to boot, the epoch pace, a snapshot to
+/// resume from — or just the usage text.
+#[derive(Debug, PartialEq)]
+struct Opts {
+    seed: u64,
+    epoch_ms: u64,
+    resume: Option<String>,
+    help: bool,
+}
+
+/// Parses argv (without the program name). A typo must not boot the wrong
+/// world, so an unknown argument, a missing value and a non-numeric
+/// number are all errors naming the flag.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+    let mut opts = Opts { seed: 42, epoch_ms: 500, resume: None, help: false };
+    let mut argv = argv.into_iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
+        let number = |v: String| v.parse::<u64>().map_err(|e| format!("{flag} {v:?}: {e}"));
+        match flag.as_str() {
+            "--seed" => opts.seed = number(value()?)?,
+            "--epoch-ms" => opts.epoch_ms = number(value()?)?,
+            "--resume" => opts.resume = Some(value()?),
+            "--help" | "-h" => opts.help = true,
+            _ => return Err(format!("unknown argument {flag:?}")),
         }
+    }
+    Ok(opts)
+}
+
+fn main() {
+    let Opts { seed, epoch_ms, resume, help } =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("seacmad: {e} (try --help)");
+            std::process::exit(2);
+        });
+    if help {
+        eprintln!("usage: seacmad [--seed N] [--epoch-ms MS] [--resume PATH]");
+        eprintln!("queries on stdin:");
+        for (syntax, desc) in COMMANDS {
+            eprintln!("  {syntax:<42} {desc}");
+        }
+        return;
     }
 
     // Boot: a fresh daemon over the simulated measurement, or a resumed
@@ -335,6 +353,25 @@ mod tests {
     use super::*;
     use seacma_tracker::TrackerConfig;
     use seacma_vision::cluster::ScreenshotPoint;
+
+    #[test]
+    fn malformed_argv_is_an_error_not_a_default() {
+        let parse = |argv: &[&str]| parse_args(argv.iter().map(|a| a.to_string()));
+        let want = Opts { seed: 7, epoch_ms: 10, resume: Some("s.json".into()), help: false };
+        assert_eq!(parse(&["--seed", "7", "--epoch-ms", "10", "--resume", "s.json"]), Ok(want));
+        assert!(parse(&["-h"]).is_ok_and(|o| o.help));
+        for argv in [
+            &["--sede", "1"][..],    // unknown flag
+            &["--seed"],             // flag missing its value
+            &["--seed", "4z"],       // bad number
+            &["--epoch-ms", "fast"], // bad number
+            &["--epoch-ms", "-5"],   // negative duration
+            &["--resume"],           // no path
+        ] {
+            let err = parse(argv).expect_err(&format!("{argv:?} must be rejected"));
+            assert!(err.contains(argv[0]), "{argv:?}: message {err:?} must name the flag");
+        }
+    }
 
     #[test]
     fn a_save_killed_mid_write_leaves_the_previous_snapshot_loadable() {

@@ -3,12 +3,10 @@
 
 use std::sync::Arc;
 
-use seacma_simweb::SimTime;
 use seacma_tracker::{CampaignTracker, EpochSummary, TrackerConfig};
 use seacma_util::json::JsonError;
 use seacma_vision::cluster::ScreenshotPoint;
 
-use crate::scheduler::EpochScheduler;
 use crate::snapshot::{QueryHandle, ReputationSnapshot, SnapshotCell};
 
 /// The resident SEACMA process core: owns the [`CampaignTracker`] (the
@@ -119,50 +117,6 @@ impl Daemon {
                 self.close_epoch()
             })
             .collect()
-    }
-
-    /// Drives a timestamped feed through the virtual-time scheduler until
-    /// `until`: every boundary at or before `until` closes an epoch
-    /// holding exactly the feed entries before it. The feed must be
-    /// nondecreasing in time (the simulator's merge-sweep order).
-    ///
-    /// ```
-    /// use seacma_daemon::{Daemon, EpochScheduler};
-    /// use seacma_simweb::{SimTime, DAY};
-    /// use seacma_tracker::TrackerConfig;
-    /// use seacma_vision::cluster::ScreenshotPoint;
-    /// use seacma_vision::dhash::Dhash;
-    ///
-    /// let mut daemon = Daemon::new(TrackerConfig::default());
-    /// let mut sched = EpochScheduler::new(SimTime::EPOCH, DAY);
-    /// let feed: Vec<(SimTime, ScreenshotPoint)> = (0..12u64)
-    ///     .map(|i| (
-    ///         SimTime(i * 200),
-    ///         ScreenshotPoint::new(Dhash(0xFACE ^ (1 << (i % 3))), format!("evil{i}.club")),
-    ///     ))
-    ///     .collect();
-    /// let summaries = daemon.run_feed(&feed, &mut sched, SimTime::EPOCH + DAY * 2);
-    /// assert_eq!(summaries.len(), 2); // two whole virtual days closed
-    /// assert_eq!(sched.closed(), 2);
-    /// ```
-    pub fn run_feed(
-        &mut self,
-        feed: &[(SimTime, ScreenshotPoint)],
-        sched: &mut EpochScheduler,
-        until: SimTime,
-    ) -> Vec<EpochSummary> {
-        let mut summaries = Vec::new();
-        let mut next = 0usize;
-        while sched.next_boundary() <= until {
-            let boundary = sched.next_boundary();
-            while next < feed.len() && feed[next].0 < boundary {
-                self.ingest(feed[next].1.clone());
-                next += 1;
-            }
-            summaries.push(self.close_epoch());
-            sched.advance();
-        }
-        summaries
     }
 
     /// Serializes the daemon's full resumable state — exactly the

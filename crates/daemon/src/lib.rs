@@ -4,8 +4,8 @@
 //! measurement finishes; operators also need "what is this URL *right
 //! now*". This crate turns the crawl → cluster → milk → track loop into a
 //! **resident process**: a single writer drives the incremental
-//! [`CampaignTracker`](seacma_tracker::CampaignTracker) epoch by epoch on
-//! a virtual-time schedule, and any number of reader threads serve
+//! [`CampaignTracker`](seacma_tracker::CampaignTracker) epoch by epoch,
+//! one batch of the feed per epoch, and any number of reader threads serve
 //! reputation queries concurrently — URL → campaign, dhash →
 //! nearest campaign (via the exact banded Hamming index), campaign id →
 //! lifecycle state.
@@ -63,10 +63,8 @@ pub mod daemon;
 pub mod dash;
 pub mod offline;
 pub mod query;
-pub mod scheduler;
 pub mod snapshot;
 
 pub use daemon::Daemon;
 pub use query::{CampaignStatus, DhashMatch, UrlVerdict};
-pub use scheduler::EpochScheduler;
 pub use snapshot::{QueryHandle, ReputationSnapshot, SnapshotCell};

@@ -94,6 +94,7 @@ pub(crate) fn merge_timelines(
         out.discoveries.push(DomainDiscovery {
             domain: ev.domain,
             landing_url: ev.landing_url,
+            dhash: ev.dhash,
             source_idx: ev.source_idx,
             cluster: src.cluster,
             first_seen: ev.t,

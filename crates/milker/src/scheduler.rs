@@ -14,6 +14,7 @@ use seacma_util::{impl_json_struct, resolve_workers};
 use seacma_blacklist::{GsbService, VirusTotal};
 use seacma_browser::RenderCache;
 use seacma_simweb::{SimDuration, SimTime, Url, World};
+use seacma_vision::dhash::Dhash;
 
 use crate::downloads::MilkedFile;
 use crate::sources::MilkingSource;
@@ -55,6 +56,9 @@ pub struct DomainDiscovery {
     pub domain: String,
     /// Full landing URL observed.
     pub landing_url: Url,
+    /// Perceptual hash of the landing screenshot that matched the
+    /// source's reference — the point the tracker clusters.
+    pub dhash: Dhash,
     /// Index of the source (into the source list) that milked it.
     pub source_idx: usize,
     /// Campaign cluster of the source.
@@ -256,7 +260,8 @@ mod tests {
                     // Never-before-seen domain: verify it still shows the
                     // campaign's attack before counting it.
                     let shot = session.render_screenshot(&loaded.url, &loaded.page);
-                    if hamming(dhash128(&shot), src.reference) > MATCH_THRESHOLD {
+                    let dhash = dhash128(&shot);
+                    if hamming(dhash, src.reference) > MATCH_THRESHOLD {
                         continue;
                     }
                     seen_domains.insert(domain.clone());
@@ -303,6 +308,7 @@ mod tests {
                     out.discoveries.push(DomainDiscovery {
                         domain,
                         landing_url: loaded.url,
+                        dhash,
                         source_idx: idx,
                         cluster: src.cluster,
                         first_seen: t,
@@ -615,6 +621,7 @@ impl_json_struct!(MilkingConfig {
 impl_json_struct!(DomainDiscovery {
     domain,
     landing_url,
+    dhash,
     source_idx,
     cluster,
     first_seen,

@@ -22,7 +22,7 @@ use std::collections::HashSet;
 
 use seacma_browser::{BrowserConfig, QuietBrowser, RenderCache};
 use seacma_simweb::{ClickAction, FilePayload, SimTime, Url, Vantage, World};
-use seacma_vision::dhash::hamming;
+use seacma_vision::dhash::{hamming, Dhash};
 
 use crate::scheduler::MilkingConfig;
 use crate::sources::{MilkingSource, MATCH_THRESHOLD};
@@ -39,6 +39,9 @@ pub(crate) struct CandidateEvent {
     pub domain: String,
     /// Full landing URL.
     pub landing_url: Url,
+    /// Hash of the landing screenshot — the one compared against the
+    /// source's reference, carried so the tracker feed never re-renders.
+    pub dhash: Dhash,
     /// Scam call-center number shown by the page, if any.
     pub scam_phone: Option<String>,
     /// Survey-scam gateway the page funnels to, if any.
@@ -143,6 +146,7 @@ pub(crate) fn simulate_source(
                         source_idx,
                         domain: landing_url.e2ld(),
                         landing_url,
+                        dhash: shot_hash,
                         scam_phone: page.scam_phone,
                         survey_gateway: page.survey_gateway,
                         notification_prompt: page.notification_prompt,

@@ -1,101 +1,33 @@
 //! Feed milking discoveries back into the campaign tracker.
 //!
-//! The tracker clusters `(dhash, e2LD)` screenshot points, but a
-//! [`DomainDiscovery`] records only the landing
-//! URL and time — the
-//! scheduler compares dhash bits and throws the hash away. Every render in
-//! the simulator is a pure function of `(seed, url, client, time)`, so the
-//! screenshot the milker matched can be re-derived bit for bit: load the
-//! source URL at the discovery tick with the source's UA and take the
-//! fused render-free dhash ([`QuietBrowser::screenshot_dhash`]). That
-//! keeps the tracker's visual space identical to the one the discovery
-//! clusters live in — crawl landings and milked landings cluster together
-//! exactly when their screenshots match.
+//! The tracker clusters `(dhash, e2LD)` screenshot points, and a
+//! [`DomainDiscovery`](crate::DomainDiscovery) carries both: the domain it
+//! found and the hash of the landing screenshot the scheduler matched
+//! against the source's reference. That keeps the tracker's visual space
+//! identical to the one the discovery clusters live in — crawl landings
+//! and milked landings cluster together exactly when their screenshots
+//! match — and makes the feed a plain map over the outcome.
 
-use std::collections::HashMap;
-
-use seacma_browser::{BrowserConfig, QuietBrowser, RenderCache};
-use seacma_simweb::{SimTime, Vantage, World};
+use seacma_simweb::{SimTime, World};
 use seacma_util::sym::{SharedArena, Sym};
 use seacma_vision::cluster::ScreenshotPoint;
 use seacma_vision::dhash::Dhash;
 
-use crate::scheduler::{DomainDiscovery, MilkingOutcome};
+use crate::scheduler::MilkingOutcome;
 use crate::sources::MilkingSource;
 
-/// The shared re-derivation loop behind [`discovery_points`] and
-/// [`discovery_sym_points`]: walks the outcome's discoveries, re-renders
-/// each landing's dhash, and hands `(discovery, dhash)` to `make`.
-fn rederive<T>(
-    world: &World,
-    sources: &[MilkingSource],
-    outcome: &MilkingOutcome,
-    mut make: impl FnMut(&DomainDiscovery, Dhash) -> T,
-) -> Vec<(SimTime, T)> {
-    // Discoveries arrive in merge-sweep order (time-major across sources),
-    // so replaying them as-is hops between sources and re-warms each
-    // browser's probe state interleaved. Instead: group by source, replay
-    // each source's timeline once in tick order (the per-source
-    // subsequence of a time-sorted feed is itself time-sorted), then emit
-    // in the original discovery order. Every load is a pure function of
-    // (seed, url, client, time), so regrouping cannot change any dhash.
-    let mut by_source: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (i, d) in outcome.discoveries.iter().enumerate() {
-        by_source.entry(d.source_idx).or_default().push(i);
-    }
-    let mut order: Vec<&Vec<usize>> = by_source.values().collect();
-    order.sort_unstable_by_key(|idxs| idxs[0]);
-
-    // One quiet browser per source: configs differ by UA, and reusing a
-    // browser keeps the probe caches warm across that source's
-    // discoveries. Clean renders are shared across all sources through one
-    // cache — sources tracking the same campaign hash against the same
-    // clean render.
-    let cache = RenderCache::new();
-    let mut dhashes: Vec<Option<Dhash>> = vec![None; outcome.discoveries.len()];
-    for idxs in order {
-        let src = &sources[outcome.discoveries[idxs[0]].source_idx];
-        let browser = QuietBrowser::with_cache(
-            world,
-            BrowserConfig::instrumented(src.ua, Vantage::Residential).without_screenshots(),
-            &cache,
-        );
-        for &i in idxs {
-            let d = &outcome.discoveries[i];
-            // The load cannot fail at a tick where the scheduler already
-            // discovered a landing (same pure function); the `else` arm is
-            // only defensive symmetry with the scheduler's own error arm.
-            let Ok((landing_url, page)) = browser.load(&src.url, d.first_seen) else {
-                continue;
-            };
-            debug_assert_eq!(landing_url, d.landing_url, "re-derived landing diverged");
-            dhashes[i] = Some(browser.screenshot_dhash(&landing_url, &page, d.first_seen));
-        }
-    }
-
-    // `make` runs in the outcome's discovery order — the sym variant
-    // interns domains here, and symbol assignment must not depend on the
-    // replay grouping above.
+/// One `(first_seen, ScreenshotPoint)` per discovery, in the outcome's
+/// discovery order (merge-sweep order, so `first_seen` is nondecreasing —
+/// ready to be bucketed into tracker epochs).
+///
+/// The dhash is the one the milker compared against the source's
+/// reference at the discovery tick; the e2LD is the discovered domain.
+pub fn discovery_points(outcome: &MilkingOutcome) -> Vec<(SimTime, ScreenshotPoint)> {
     outcome
         .discoveries
         .iter()
-        .zip(dhashes)
-        .filter_map(|(d, dhash)| Some((d.first_seen, make(d, dhash?))))
+        .map(|d| (d.first_seen, ScreenshotPoint::new(d.dhash, d.domain.clone())))
         .collect()
-}
-
-/// Re-derives one `(first_seen, ScreenshotPoint)` per discovery, in the
-/// outcome's discovery order (merge-sweep order, so `first_seen` is
-/// nondecreasing — ready to be bucketed into tracker epochs).
-///
-/// The dhash equals the one the milker compared against the source's
-/// reference at the discovery tick; the e2LD is the discovered domain.
-pub fn discovery_points(
-    world: &World,
-    sources: &[MilkingSource],
-    outcome: &MilkingOutcome,
-) -> Vec<(SimTime, ScreenshotPoint)> {
-    rederive(world, sources, outcome, |d, dhash| ScreenshotPoint::new(dhash, d.domain.clone()))
 }
 
 /// The zero-string variant of [`discovery_points`]: each discovered
@@ -103,13 +35,19 @@ pub fn discovery_points(
 /// shares) and the feed carries `(dhash, symbol)` pairs ready for
 /// `ingest_sym`. Interning happens here, at a sequential point in
 /// discovery order, so symbol assignment stays deterministic.
+///
+/// `_world`/`_sources` are unused — a discovery carries its hash — but `benchmark/` calls this signature.
 pub fn discovery_sym_points(
-    world: &World,
-    sources: &[MilkingSource],
+    _world: &World,
+    _sources: &[MilkingSource],
     outcome: &MilkingOutcome,
     arena: &SharedArena,
 ) -> Vec<(SimTime, (Dhash, Sym))> {
-    rederive(world, sources, outcome, |d, dhash| (dhash, arena.intern(&d.domain)))
+    outcome
+        .discoveries
+        .iter()
+        .map(|d| (d.first_seen, (d.dhash, arena.intern(&d.domain))))
+        .collect()
 }
 
 /// Buckets a [`discovery_points`] feed into one batch per virtual day —
@@ -197,7 +135,7 @@ mod tests {
             Milker::new(&world, config).run_parallel(&sources, &mut gsb, &mut vt, t0, 1);
         assert!(!outcome.discoveries.is_empty(), "seed world must yield discoveries");
 
-        let points = discovery_points(&world, &sources, &outcome);
+        let points = discovery_points(&outcome);
         assert_eq!(points.len(), outcome.discoveries.len());
         // The sym feed is the same feed, column-form: same times, same
         // dhashes, and every symbol resolves to the string point's e2LD.
@@ -213,8 +151,8 @@ mod tests {
             assert_eq!(*t, d.first_seen);
             assert_eq!(p.e2ld, d.domain);
             // The scheduler only records a discovery when the rendered
-            // screenshot matched the reference — the re-derived hash must
-            // reproduce that match.
+            // screenshot matched the reference — the carried hash must
+            // show that match.
             let reference = sources[d.source_idx].reference;
             assert!(hamming(p.dhash, reference) <= MATCH_THRESHOLD);
         }

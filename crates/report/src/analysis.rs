@@ -110,7 +110,7 @@ fn in_id_order(analyses: &[Box<dyn Analysis>]) -> Vec<&dyn Analysis> {
 /// use seacma_report::{compose_text, standard_analyses, ReportInputs};
 ///
 /// let text = compose_text(&standard_analyses(), &ReportInputs::new(42));
-/// assert!(text.starts_with("== adnet-attribution: "));
+/// assert!(text.starts_with("== adblock: "));
 /// assert!(text.contains("| (no data) "));
 /// ```
 pub fn compose_text(analyses: &[Box<dyn Analysis>], inputs: &ReportInputs) -> String {
@@ -127,7 +127,7 @@ pub fn compose_text(analyses: &[Box<dyn Analysis>], inputs: &ReportInputs) -> St
     out
 }
 
-/// The standard report: the eleven shipped analyses, one instance each.
+/// The standard report: the twenty shipped analyses, one instance each.
 ///
 /// ```
 /// use seacma_report::standard_analyses;
@@ -147,6 +147,15 @@ pub fn compose_text(analyses: &[Box<dyn Analysis>], inputs: &ReportInputs) -> St
 ///         "cluster-size-distribution",
 ///         "bench-trajectory",
 ///         "online-detection",
+///         "pipeline-funnel",
+///         "adblock",
+///         "milked-files",
+///         "milked-intelligence",
+///         "blacklist-enrichment",
+///         "parking-filter",
+///         "clustering-ablation",
+///         "milking-timeline",
+///         "invariant-mining",
 ///     ],
 /// );
 /// ```
@@ -163,6 +172,15 @@ pub fn standard_analyses() -> Vec<Box<dyn Analysis>> {
         Box::new(crate::analyses::ClusterSizeDistribution),
         Box::new(crate::analyses::BenchTrajectory),
         Box::new(crate::analyses::OnlineDetection),
+        Box::new(crate::analyses::PipelineFunnel),
+        Box::new(crate::analyses::AdblockCoverage),
+        Box::new(crate::analyses::MilkedFileScans),
+        Box::new(crate::analyses::MilkedFeeds),
+        Box::new(crate::analyses::BlacklistEnrichment),
+        Box::new(crate::analyses::ParkingFilter),
+        Box::new(crate::analyses::ClusteringAblation),
+        Box::new(crate::analyses::SourceTimeline),
+        Box::new(crate::analyses::InvariantMining),
     ]
 }
 

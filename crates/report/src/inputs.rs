@@ -9,13 +9,18 @@
 
 use std::path::Path;
 
+use seacma_core::ablation::{clustering_ablation, AblationRow};
+use seacma_core::adblock::{adblock_experiment, AdblockResult, FilterList};
+use seacma_core::invariants::{mine_world_patterns, MinedNetwork};
+use seacma_core::parking::ParkingConfusion;
+use seacma_core::milker::DomainDiscovery;
 use seacma_core::report::{
-    self as core_report, ClusterBreakdown, EthicsReport, Table1Row, Table2Row, Table3Row,
-    Table4Row,
+    self as core_report, ClusterBreakdown, EthicsReport, FunnelRow, Table1Row, Table2Row,
+    Table3Row, Table4Row,
 };
-use seacma_core::simweb::World;
+use seacma_core::simweb::{SimTime, Url, World};
 use seacma_core::tracker::LifeState;
-use seacma_core::{DiscoveryOutput, PipelineRun};
+use seacma_core::{DiscoveryOutput, Pipeline, PipelineRun};
 use seacma_util::impl_json_struct;
 use seacma_util::json::{self, Value};
 
@@ -135,6 +140,35 @@ pub struct ReportInputs {
     pub ethics: Option<EthicsReport>,
     /// Benchmark-baseline and detection-eval points ([`load_bench_dir`]).
     pub bench: Vec<BenchPoint>,
+    /// Per-stage counts of the pipeline (Figure 2).
+    pub funnel: Vec<FunnelRow>,
+    /// Entries of the EasyList-like filter the §4.4 experiment ran against.
+    pub adblock_filter_entries: u64,
+    /// Per-seed-network ad-blocker coverage (§4.4).
+    pub adblock: Vec<AdblockResult>,
+    /// VirusTotal tallies over the milked files as `(what, files)`, the
+    /// total first (§4.5).
+    pub milked_files: Vec<(String, usize)>,
+    /// Scam call-center numbers milked from tech-support pages, as
+    /// `(number, first seen, campaign cluster)` (§4.3).
+    pub scam_phones: Vec<(String, SimTime, usize)>,
+    /// Survey-scam gateways milked from lottery pages (§4.3).
+    pub survey_gateways: Vec<(Url, SimTime, usize)>,
+    /// Pages whose push-notification permission the milker granted (§4.3).
+    pub notification_grants: Vec<(Url, SimTime, usize)>,
+    /// Protection windows gained over GSB per milked domain, days,
+    /// ascending (§6).
+    pub protection_window_days: Vec<f64>,
+    /// Parked-cluster filter verdicts against the cluster labels.
+    pub parking: ParkingConfusion,
+    /// eps / θc / hash-width sweep over the crawl's screenshots.
+    pub ablation: Vec<AblationRow>,
+    /// The milked upstream URL of the Figure 4 timeline (empty: none).
+    pub timeline_source: String,
+    /// That source's discoveries, chronological (Figure 4).
+    pub timeline: Vec<DomainDiscovery>,
+    /// Mined per-network invariants and their pool check (stage ①).
+    pub mined: Vec<MinedNetwork>,
 }
 
 impl ReportInputs {
@@ -144,8 +178,9 @@ impl ReportInputs {
     }
 
     /// Extracts what a discovery phase alone provides: the clustering's
-    /// sizes and census, Tables 1–3 (Table 2 at the paper's top 20) and
-    /// the ethics cost. The tracking and milking fields stay empty.
+    /// sizes and census, Tables 1–3 (Table 2 at the paper's top 20), the
+    /// ethics cost and stages ①–⑤ of the funnel. The tracking, milking
+    /// and side-experiment fields stay empty.
     pub fn from_discovery(world: &World, discovery: &DiscoveryOutput) -> Self {
         Self {
             cluster_sizes: core_report::cluster_sizes(discovery),
@@ -154,14 +189,21 @@ impl ReportInputs {
             adnets: core_report::table3(world, discovery),
             cluster_census: ClusterBreakdown::over(&discovery.labels),
             ethics: Some(EthicsReport::over(discovery)),
+            funnel: core_report::funnel_discovery(world, discovery),
             ..Self::new(world.seed())
         }
     }
 
-    /// Extracts the full bundle from a completed batch measurement:
-    /// [`ReportInputs::from_discovery`] plus the ledger's campaign records,
-    /// the milking outcome's GSB lags and Table 4.
-    pub fn from_run(world: &World, run: &PipelineRun) -> Self {
+    /// Extracts the full bundle from a completed batch measurement of
+    /// `pipeline`: [`ReportInputs::from_discovery`] plus the ledger's
+    /// campaign records, stages ⑥–⑦ of the funnel, the milking outcome's
+    /// views (GSB lags, Table 4, files, feeds, protection windows, Figure 4
+    /// timeline) and the side experiments over the world and the crawl
+    /// (ad-blocker, invariant mining, parking filter, clustering ablation —
+    /// the last re-renders and re-clusters every landing, which is why a
+    /// discovery-only bundle skips them).
+    pub fn from_run(pipeline: &Pipeline, run: &PipelineRun) -> Self {
+        let (world, discovery) = (pipeline.world(), &run.discovery);
         let campaigns = run
             .tracking
             .tracker
@@ -178,13 +220,35 @@ impl ReportInputs {
                 last_growth_epoch: r.last_growth_epoch,
             })
             .collect();
+        let (timeline_source, timeline) =
+            core_report::milking_timeline(&discovery.labels, &run.sources, &run.milking)
+                .map(|(src, found)| (src.url.to_string(), found.into_iter().cloned().collect()))
+                .unwrap_or_default();
+        let mut inputs = Self::from_discovery(world, discovery);
+        inputs.funnel.extend(core_report::funnel_tracking(run));
         Self {
             epoch: run.tracking.tracker.epoch(),
             campaigns,
             gsb_lag_days: core_report::gsb_lag_days(&run.milking),
             gsb_unlisted: core_report::gsb_unlisted(&run.milking) as u64,
-            milked: core_report::table4(&run.discovery.labels, &run.milking),
-            ..Self::from_discovery(world, &run.discovery)
+            milked: core_report::table4(&discovery.labels, &run.milking),
+            milked_files: core_report::milked_file_tallies(&run.milking.files),
+            scam_phones: run.milking.scam_phones.clone(),
+            survey_gateways: run.milking.survey_gateways.clone(),
+            notification_grants: run.milking.notification_grants.clone(),
+            protection_window_days: core_report::protection_windows(
+                &run.milking,
+                pipeline.config().milking,
+            ),
+            timeline_source,
+            timeline,
+            adblock_filter_entries: FilterList::easylist(world).len() as u64,
+            // 500 click URLs and 5 loader snippets sampled per seed network.
+            adblock: adblock_experiment(world, SimTime::EPOCH, 500),
+            mined: mine_world_patterns(world, 5),
+            parking: ParkingConfusion::over(world, discovery),
+            ablation: clustering_ablation(world, discovery),
+            ..inputs
         }
     }
 
@@ -282,6 +346,19 @@ impl_json_struct!(ReportInputs {
     cluster_census,
     ethics,
     bench,
+    funnel,
+    adblock_filter_entries,
+    adblock,
+    milked_files,
+    scam_phones,
+    survey_gateways,
+    notification_grants,
+    protection_window_days,
+    parking,
+    ablation,
+    timeline_source,
+    timeline,
+    mined,
 });
 
 #[cfg(test)]

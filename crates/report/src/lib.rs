@@ -10,13 +10,13 @@
 //! 2. Std-only ANSI terminal lines ([`ansi`]) for the `seacmad` live
 //!    dashboard — no ratatui, no curses, just SGR escapes.
 //! 3. Plain-text grids ([`compose_text`], [`Table::render_text`]) — what
-//!    `seacma discover`, `track` and `report` print.
+//!    `seacma discover` and `report` print.
 //!
 //! The unit of extension is the [`Analysis`] trait: implement `compute`
-//! (inputs → [`Table`]) and reuse the default projections. The eleven
-//! shipped analyses — the paper's Tables 1–4, §4.3 census and §6 cost
-//! among them — live in [`analyses`] and are assembled by
-//! [`standard_analyses`].
+//! (inputs → [`Table`]) and reuse the default projections. The twenty
+//! shipped analyses — the paper's Tables 1–4, Figures 2 and 4, the §4.3–
+//! §4.5 and §6 side results among them — live in [`analyses`] and are
+//! assembled by [`standard_analyses`].
 //!
 //! ```
 //! use seacma_report::{compose_html, standard_analyses, ReportInputs};
@@ -38,9 +38,10 @@ pub mod inputs;
 pub mod table;
 
 pub use analyses::{
-    AdnetAttribution, BenchTrajectory, BlacklistLag, CampaignGrowth, CampaignStatistics,
-    ClusterCensus, ClusterSizeDistribution, EthicsCost, MilkedDomains, OnlineDetection,
-    PublisherCategories,
+    AdblockCoverage, AdnetAttribution, BenchTrajectory, BlacklistEnrichment, BlacklistLag,
+    CampaignGrowth, CampaignStatistics, ClusterCensus, ClusterSizeDistribution,
+    ClusteringAblation, EthicsCost, InvariantMining, MilkedDomains, MilkedFeeds, MilkedFileScans,
+    OnlineDetection, ParkingFilter, PipelineFunnel, PublisherCategories, SourceTimeline,
 };
 pub use analysis::{compose_html, compose_text, standard_analyses, Analysis};
 pub use inputs::{load_bench_dir, BenchPoint, CampaignObs, ReportInputs, DETECT_SERIES};

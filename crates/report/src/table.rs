@@ -136,6 +136,19 @@ impl Table {
         self.rows.push(row);
     }
 
+    /// Finishes an analysis's table: one without rows gets the canonical
+    /// "(no data)" row — the marker in the first column, [`Cell::Absent`]
+    /// in every other — so reports over partial inputs stay byte-stable
+    /// and grep-able instead of showing an empty grid.
+    pub fn or_no_data(mut self) -> Self {
+        if self.rows.is_empty() {
+            let mut row = vec![Cell::text("(no data)")];
+            row.resize(self.columns.len(), Cell::Absent);
+            self.rows.push(row);
+        }
+        self
+    }
+
     /// Renders the table as an aligned plain-text grid: every line the
     /// same width in characters, cells left-aligned (the ANSI layer styles
     /// these same lines; tests and docs paste them verbatim).

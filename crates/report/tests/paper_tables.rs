@@ -8,7 +8,7 @@ use seacma_report::{compose_text, standard_analyses, ReportInputs};
 fn a_pipeline_run_fills_every_paper_table() {
     let pipeline = Pipeline::new(PipelineConfig::small(42));
     let run = pipeline.run_to_completion();
-    let inputs = ReportInputs::from_run(pipeline.world(), &run);
+    let inputs = ReportInputs::from_run(&pipeline, &run);
     let text = compose_text(&standard_analyses(), &inputs);
 
     let section = |id: &str| -> &str {

@@ -4,11 +4,16 @@
 //! over randomized (but seeded) input bundles — and for the projections:
 //! text, HTML and ANSI all carry the table's cells, totals add up.
 
+use seacma_core::adblock::AdblockResult;
+use seacma_core::invariants::{MinedNetwork, MinedPattern};
+use seacma_core::milker::DomainDiscovery;
+use seacma_core::parking::ParkingConfusion;
 use seacma_core::report::{
-    ClusterBreakdown, EthicsReport, Table1Row, Table2Row, Table3Row, Table4Row,
+    ClusterBreakdown, EthicsReport, FunnelRow, Table1Row, Table2Row, Table3Row, Table4Row,
 };
-use seacma_core::simweb::{SeCategory, SiteCategory};
+use seacma_core::simweb::{SeCategory, SimTime, SiteCategory, Url};
 use seacma_core::tracker::LifeState;
+use seacma_core::vision::dhash::Dhash;
 use seacma_report::html::escape;
 use seacma_report::{
     compose_html, standard_analyses, Analysis, BenchPoint, CampaignObs, CampaignStatistics,
@@ -110,6 +115,57 @@ fn arbitrary_inputs(rng: &mut Rng) -> ReportInputs {
             worst: rng.bool(0.7).then(|| ("θ-shop.example".to_string(), clicks)),
             mean_clicks: rng.f64_range(0.0, 12.0),
         });
+    }
+    // The side experiments of a full run, over the same hostile names.
+    for r in &inputs.adnets {
+        let n = r.landing_pages;
+        inputs.funnel.push(FunnelRow {
+            stage: r.network.clone(),
+            quantity: "landing pages".to_string(),
+            count: n as u64,
+        });
+        inputs.adblock.push(AdblockResult {
+            network: r.network.clone(),
+            sampled: 500,
+            blocked_fraction: r.se_pct / 100.0,
+        });
+        inputs.mined.push(MinedNetwork {
+            network: r.network.clone(),
+            mined: MinedPattern {
+                js_token: (n % 5 > 0).then(|| format!("+'/n{n}/x.php'")),
+                url_token: (n % 7 > 0).then(|| format!("/n{n}/x.php?z=<1>&c=0")),
+            },
+            pool_match: n % 3 > 0,
+        });
+        let gateway = Url::http(format!("gw{n}.example"), "/survey?a=1&b=<2>");
+        inputs.scam_phones.push((format!("+1-800-555-{n:04}"), SimTime(n as u64), n));
+        inputs.survey_gateways.push((gateway.clone(), SimTime(n as u64), n));
+        inputs.notification_grants.push((gateway.clone(), SimTime(n as u64), n));
+        inputs.timeline.push(DomainDiscovery {
+            domain: gateway.host.clone(),
+            landing_url: gateway,
+            dhash: Dhash(n as u128),
+            source_idx: 0,
+            cluster: 0,
+            first_seen: SimTime(n as u64),
+            gsb_listed_at_discovery: false,
+            gsb_listed_at: (n % 4 == 0).then_some(SimTime(2 * n as u64)),
+        });
+    }
+    if !inputs.adnets.is_empty() {
+        let count = |rng: &mut Rng| rng.below(400) as usize;
+        inputs.adblock_filter_entries = rng.below(40);
+        inputs.timeline_source = "http://tds.example/go?s=0&x=<y>".to_string();
+        inputs.protection_window_days = inputs.gsb_lag_days.clone();
+        inputs.milked_files =
+            vec![("files <milked>".to_string(), 400 + count(rng)), ("known".to_string(), count(rng))];
+        inputs.parking = ParkingConfusion {
+            parked_filtered: count(rng),
+            parked_missed: count(rng),
+            other_benign_filtered: count(rng),
+            campaigns_filtered: count(rng),
+            kept: 1 + count(rng),
+        };
     }
     for i in 0..rng.below(5) {
         inputs.bench.push(BenchPoint {

@@ -304,11 +304,6 @@ impl SharedArena {
         SharedArena(Arc::new(RwLock::new(SymbolArena::new())))
     }
 
-    /// Wraps an existing arena (e.g. one parsed from a snapshot).
-    pub fn from_arena(arena: SymbolArena) -> Self {
-        SharedArena(Arc::new(RwLock::new(arena)))
-    }
-
     /// Interns a string, returning its stable symbol. Fast path is a read
     /// lock; the write lock is taken only when the string is new.
     pub fn intern(&self, s: &str) -> Sym {

@@ -2,15 +2,17 @@
 //! publisher page where clicking anywhere opens a pop-up that redirects
 //! to an SE attack, shown twice (two stacked ad networks → two different
 //! attacks).
+//!
+//! ```sh
+//! cargo run --release --example figure1_walkthrough
+//! ```
 
-use seacma_bench::{banner, run_args};
-use seacma_browser::{BrowserConfig, BrowserSession};
-use seacma_simweb::{SimTime, UaProfile, Vantage};
+use seacma_core::browser::{BrowserConfig, BrowserSession};
+use seacma_core::simweb::{SimTime, UaProfile, Vantage};
+use seacma_core::{Pipeline, PipelineConfig};
 
 fn main() {
-    let args = run_args();
-    banner("Figure 1: transparent-ad walkthrough");
-    let (pipeline, _) = (seacma_core::Pipeline::new(args.config()), ());
+    let pipeline = Pipeline::new(PipelineConfig::small(42));
     let world = pipeline.world();
 
     // A publisher running at least two ad networks (greedy site).

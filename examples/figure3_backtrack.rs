@@ -1,15 +1,17 @@
 //! Reproduces **Figure 3** — the backtracking graph of one SE attack
 //! load, printed as ASCII and Graphviz DOT.
+//!
+//! ```sh
+//! cargo run --release --example figure3_backtrack
+//! ```
 
-use seacma_bench::{banner, run_args};
-use seacma_browser::{BrowserConfig, BrowserSession};
-use seacma_graph::{milkable, Attributor, BacktrackGraph};
-use seacma_simweb::{SimTime, UaProfile, Vantage};
+use seacma_core::browser::{BrowserConfig, BrowserSession};
+use seacma_core::graph::{milkable, Attributor, BacktrackGraph};
+use seacma_core::simweb::{SimTime, UaProfile, Vantage};
+use seacma_core::{Pipeline, PipelineConfig};
 
 fn main() {
-    let args = run_args();
-    banner("Figure 3: backtracking graph of a tech-support-scam ad load");
-    let pipeline = seacma_core::Pipeline::new(args.config());
+    let pipeline = Pipeline::new(PipelineConfig::small(42));
     let world = pipeline.world();
     let cfg = BrowserConfig::instrumented(UaProfile::ChromeMac, Vantage::Residential);
 
@@ -41,5 +43,5 @@ fn main() {
             let _ = session.navigate(&publisher.url());
         }
     }
-    println!("no multi-hop SE attack found — increase --publishers");
+    println!("no multi-hop SE attack found in this world");
 }

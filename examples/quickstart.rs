@@ -5,7 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use seacma_core::pipeline::DiscoverySummary;
 use seacma_core::{Pipeline, PipelineConfig};
 use seacma_report::{Analysis, CampaignStatistics, ReportInputs};
 
@@ -26,12 +25,14 @@ fn main() {
     println!("running discovery (crawl → dhash → DBSCAN → θc → attribution) …");
     let run = pipeline.run_to_completion();
 
-    let s = DiscoverySummary::over(&run.discovery);
+    let crawl = &run.discovery.crawl;
     println!(
         "\ncrawled {} sites; {} produced third-party landings; {} landing pages",
-        s.visited, s.with_landings, s.landings
+        crawl.publishers_visited(),
+        crawl.publishers_with_landings(),
+        crawl.landing_count()
     );
-    let inputs = ReportInputs::from_run(pipeline.world(), &run);
+    let inputs = ReportInputs::from_run(&pipeline, &run);
     let b = &inputs.cluster_census;
     println!(
         "clusters: {} SEACMA campaigns, {} benign confounders",

@@ -4,6 +4,9 @@
 # with zero registry access; if it doesn't, a crate grew a non-path dep.
 set -eu
 cd "$(dirname "$0")/.."
+# Three front ends — seacma, seacmad, detect_eval. A new experiment is a
+# seacma-report Analysis (and lands in the golden below), not a binary.
+[ "$(ls crates/*/src/bin/*.rs | wc -l)" -eq 3 ]
 cargo build --release --offline
 cargo test -q --offline
 # Benchmark smoke: every workload of BENCHMARK.json at reduced size with
@@ -110,8 +113,9 @@ diff "$first" "$second"
 echo "daemon smoke: resumed answers byte-identical"
 
 # Report smoke, through `seacma report`. (1) The text report of a seeded
-# quick run must equal the checked-in golden — a drifted Table 1 count or
-# Table 4 GSB rate fails here with a table diff. No --bench-dir, so the
+# quick run must equal the checked-in golden — a drifted Table 1 count,
+# Table 4 GSB rate or side-experiment headline (§4.4 ad-blocker, §4.5
+# VirusTotal, §6 protection window, …) fails here with a table diff. No --bench-dir, so the
 # two bench-fed sections read "(no data)" and refreshing benchmark/ never
 # touches the golden. Regenerate after an intended change with
 #   cargo run --release -p seacma-bench --bin seacma -- report --quick --seed 42 >REPORT_seed42.txt
@@ -132,7 +136,6 @@ for id in $ids; do
     grep -q "<section id=\"$id\">" "$r1"
 done
 seacma report --publishers 0 >/dev/null
-cargo run --release --offline -q -p seacma-bench --bin gsb_enrichment -- --publishers 0 >/dev/null
 echo "report smoke: text equals REPORT_seed42.txt, two HTML runs byte-identical with all" \
     "$(echo "$ids" | wc -l) sections, --publishers 0 exits 0"
 

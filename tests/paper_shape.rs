@@ -5,9 +5,11 @@
 
 use std::sync::OnceLock;
 
+use seacma_core::adblock::adblock_experiment;
+use seacma_core::parking::ParkingConfusion;
 use seacma_core::report;
 use seacma_core::{Pipeline, PipelineConfig, PipelineRun};
-use seacma_simweb::SeCategory;
+use seacma_simweb::{SeCategory, SimTime};
 
 fn run() -> &'static (Pipeline, PipelineRun) {
     static RUN: OnceLock<(Pipeline, PipelineRun)> = OnceLock::new();
@@ -61,7 +63,7 @@ fn registration_fully_evades_gsb() {
 /// the mean listing lag exceeds 7 days.
 #[test]
 fn gsb_lags_and_underdetects() {
-    let (_, r) = run();
+    let (pipeline, r) = run();
     let init = r.milking.gsb_init_rate();
     let fin = r.milking.gsb_final_rate();
     assert!(init < 0.05, "init rate {init}");
@@ -69,6 +71,9 @@ fn gsb_lags_and_underdetects() {
     assert!(fin < 0.5, "final rate {fin} should remain a minority");
     let lag = r.milking.mean_gsb_lag_days().expect("some listings happen");
     assert!(lag > 7.0, "mean lag {lag} days (paper: >7)");
+    // §6: so a milker-fed blacklist protects for over a week before GSB does.
+    let windows = report::protection_windows(&r.milking, pipeline.config().milking);
+    assert!(windows[windows.len() / 2] > 7.0, "median window {} days", windows[windows.len() / 2]);
 }
 
 /// Paper Table 3: a substantial minority of SE attacks come from unknown
@@ -131,6 +136,13 @@ fn milking_multiplies_visibility() {
         "only {malicious}/{} flagged after rescan",
         files.len()
     );
+    let vt = report::milked_file_tallies(files);
+    assert!(vt[1].1 < vt[2].1, "known at submit vs flagged after rescan: {vt:?}");
+    // Figure 4: one fake-software source yields a succession of fresh domains.
+    let (_, rotations) = report::milking_timeline(&r.discovery.labels, &r.sources, &r.milking)
+        .expect("a fake-software source discovered domains");
+    assert!(rotations.len() >= 2, "{rotations:?}");
+    assert!(rotations.windows(2).all(|w| w[0].first_seen < w[1].first_seen));
 }
 
 /// Paper Table 2: suspicious/pornography categories lead the publisher
@@ -158,4 +170,24 @@ fn ethics_cost_is_negligible() {
     let e = report::EthicsReport::over(&r.discovery);
     assert!(e.mean_cost_usd() < 0.5, "mean cost ${}", e.mean_cost_usd());
     assert!(e.worst_cost_usd() < 25.0, "worst cost ${}", e.worst_cost_usd());
+}
+
+/// Paper §4.4: of the seed networks, AdBlock Plus stops exactly Clicksor.
+#[test]
+fn adblock_stops_only_clicksor() {
+    let (pipeline, _) = run();
+    let results = adblock_experiment(pipeline.world(), SimTime::EPOCH, 500);
+    let blocked: Vec<&str> =
+        results.iter().filter(|r| r.effectively_blocked()).map(|r| r.network.as_str()).collect();
+    assert_eq!(blocked, ["Clicksor"]);
+}
+
+/// Paper §4.3 future work: a parking detector filters every parked
+/// cluster and costs no SE campaign.
+#[test]
+fn parking_filter_loses_no_campaign() {
+    let (pipeline, r) = run();
+    let c = ParkingConfusion::over(pipeline.world(), &r.discovery);
+    assert_eq!(c.campaigns_filtered, 0, "{c:?}");
+    assert!(c.parked_filtered > 0 && c.parked_recall() == 1.0, "{c:?}");
 }

@@ -10,6 +10,7 @@ use seacma_core::blacklist::VirusTotal;
 use seacma_core::browser::{BrowserConfig, QuietBrowser, RenderCache};
 use seacma_core::crawler::{visit_publisher_reusing, CrawlPolicy, VisitScratch};
 use seacma_core::milker::trackfeed::{discovery_points, epoch_batches};
+use seacma_core::pipeline::crawl_end;
 use seacma_core::simweb::{SimDuration, SimTime, UaProfile, Vantage, HOUR};
 use seacma_core::tracker::CampaignTracker;
 use seacma_core::vision::cluster::{cluster_screenshots, ScreenshotPoint};
@@ -128,12 +129,12 @@ fn memoized_crawl_visits_match_uncached_reference_in_any_job_order() {
 
 #[test]
 fn batched_trackfeed_rederivation_matches_per_discovery_reference() {
-    // The milker trackfeed groups discoveries by source and replays each
-    // source's timeline through one warm browser pass. The reference is
-    // the obvious slow shape: a fresh browser and a fresh render cache per
-    // discovery, replayed in the outcome's own merge-sweep order. Both
-    // must produce the same feed byte for byte, and bucketing the feed
-    // into a random epoch split must preserve it exactly.
+    // The milker trackfeed maps each discovery to the hash the scheduler
+    // matched and carried. The reference is the obvious slow shape: a
+    // fresh browser and a fresh render cache per discovery, re-deriving
+    // the hash in the outcome's own merge-sweep order. Both must produce
+    // the same feed byte for byte, and bucketing the feed into a random
+    // epoch split must preserve it exactly.
     forall!(3, |rng| {
         let seed = rng.range_u64(1, 1 << 40);
         let mut config = tiny_config(seed, rng.range(1, 4));
@@ -154,19 +155,12 @@ fn batched_trackfeed_rederivation_matches_per_discovery_reference() {
             }
             fast.end_epoch();
         }
-        let crawl_end = discovery
-            .crawl
-            .visits
-            .iter()
-            .map(|v| v.started)
-            .max()
-            .unwrap_or(SimTime::EPOCH)
-            + HOUR;
+        let crawl_end = crawl_end(&discovery.crawl) + HOUR;
         let sources = pipeline.milking_sources(&discovery, &fast, crawl_end);
         let mut vt = VirusTotal::new(pipeline.world().seed() ^ 0x7A);
         let milking = pipeline.milk(&sources, crawl_end, &mut vt);
 
-        let batched = discovery_points(pipeline.world(), &sources, &milking);
+        let batched = discovery_points(&milking);
         let naive: Vec<(SimTime, ScreenshotPoint)> = milking
             .discoveries
             .iter()
@@ -187,7 +181,7 @@ fn batched_trackfeed_rederivation_matches_per_discovery_reference() {
         assert_eq!(
             json::to_string(&batched.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>()),
             json::to_string(&naive.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>()),
-            "batched re-derivation diverged from the per-discovery reference"
+            "carried hashes diverged from the per-discovery re-derivation"
         );
         assert!(batched.iter().zip(&naive).all(|(a, b)| a.0 == b.0));
 
@@ -248,19 +242,12 @@ fn tracking_boundaries_match_string_reference_at_any_epoch_split() {
 
         // Milking boundaries: one epoch per virtual day, sym feed vs
         // materialized string feed.
-        let crawl_end = discovery
-            .crawl
-            .visits
-            .iter()
-            .map(|v| v.started)
-            .max()
-            .unwrap_or(SimTime::EPOCH)
-            + HOUR;
+        let crawl_end = crawl_end(&discovery.crawl) + HOUR;
         let sources = pipeline.milking_sources(&discovery, &fast, crawl_end);
         let mut vt = VirusTotal::new(pipeline.world().seed() ^ 0x7A);
         let milking = pipeline.milk(&sources, crawl_end, &mut vt);
         let sym_days = pipeline.milking_epoch_sym_batches(&sources, &milking, crawl_end);
-        let str_days = pipeline.milking_epoch_batches(&sources, &milking, crawl_end);
+        let str_days = pipeline.milking_epoch_batches(&milking, crawl_end);
         assert_eq!(sym_days.len(), str_days.len());
         for (day, (sb, tb)) in sym_days.iter().zip(&str_days).enumerate() {
             for &(dhash, sym) in sb {
