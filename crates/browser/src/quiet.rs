@@ -212,11 +212,12 @@ impl<'w> QuietBrowser<'w> {
     }
 
     /// The perceptual hash [`render_screenshot`](Self::render_screenshot)'s
-    /// bitmap would hash to, without rendering it: the per-instance noise
-    /// pass and the dhash downsample are fused into one sweep over the
-    /// cached clean render (`VisualTemplate::dhash_from_clean`). This is
-    /// all the milker's match check needs — it compares hashes, never
-    /// pixels.
+    /// bitmap would hash to, without re-rendering the template: the
+    /// per-instance noise goes into a scratch copy of the cached clean
+    /// render, which is hashed and dropped
+    /// (`VisualTemplate::dhash_from_clean`), and repeats of one
+    /// `(template, seed)` are a lookup. This is all the milker's match
+    /// check needs — it compares hashes, never pixels.
     pub fn screenshot_dhash(&self, url: &Url, page: &Page, t: SimTime) -> Dhash {
         self.cache.get().dhash(page.visual, screenshot_seed(self.world, url, t))
     }

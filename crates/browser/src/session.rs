@@ -30,8 +30,8 @@ pub enum ScreenshotMode {
     /// through [`BrowserSession::render_screenshot`]). High-frequency
     /// milking sessions run here.
     Off,
-    /// Capture only the perceptual hash, through the fused noise+downsample
-    /// pass — no pixel buffer is ever materialized. The crawl farm runs
+    /// Capture only the perceptual hash's inputs — no pixel buffer is
+    /// rendered per load, and none outlives a hash. The crawl farm runs
     /// here: everything downstream of a crawl consumes dhashes, not pixels.
     Hash,
     /// Render the full pixel buffer per load (the paper's instrumented
@@ -95,7 +95,7 @@ impl BrowserConfig {
 pub enum Screenshot {
     /// Capture was off for this load.
     Skipped,
-    /// The hash's inputs were captured; the fused pass runs on demand.
+    /// The hash's inputs were captured; the noise pass runs on demand.
     /// Most loads in a crawl (publisher reloads, same-domain landings)
     /// never have their hash read, so deferring the pass — rather than
     /// hashing eagerly per load — is where the crawl fast path's time
@@ -112,8 +112,8 @@ pub enum Screenshot {
 
 impl Screenshot {
     /// The perceptual hash of this capture. For a `Rendered` buffer this
-    /// hashes the pixels; for `Deferred` it runs the fused noise+downsample
-    /// pass over the template's clean render — bit-identical by the
+    /// hashes the pixels; for `Deferred` it noises and hashes a scratch
+    /// copy of the template's clean render — bit-identical by the
     /// `dhash_from_clean == dhash128 ∘ render` identity. A `Skipped`
     /// capture hashes to `Dhash(0)`, exactly what the placeholder 1×1
     /// bitmap of the pre-mode API hashed to (constant images hash to

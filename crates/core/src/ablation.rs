@@ -10,7 +10,7 @@ use seacma_browser::{BrowserConfig, QuietBrowser};
 use seacma_simweb::{ClientProfile, UaProfile, Vantage, World};
 use seacma_vision::bitmap::Bitmap;
 use seacma_vision::cluster::{cluster_sym_columns_parallel, ClusterParams};
-use seacma_vision::dhash::Dhash;
+use seacma_vision::dhash::{dhash_grid, Dhash};
 
 use crate::pipeline::DiscoveryOutput;
 
@@ -30,19 +30,10 @@ pub struct AblationRow {
     pub se_recall: f64,
 }
 
-/// 64-bit dhash (8×9 grid) for the hash-width ablation.
+/// 64-bit dhash (8×8 gradients over a 9×8 grid) for the hash-width
+/// ablation, in the low half of the word.
 pub fn dhash64(image: &Bitmap) -> Dhash {
-    let small = image.resize(9, 8);
-    let mut bits: u128 = 0;
-    for row in 0..8 {
-        for col in 0..8 {
-            bits <<= 1;
-            if small.get(col, row) > small.get(col + 1, row) {
-                bits |= 1;
-            }
-        }
-    }
-    Dhash(bits)
+    dhash_grid(image, 8, 8)
 }
 
 /// Runs the three sweeps over a discovery's landings. Empty when the crawl

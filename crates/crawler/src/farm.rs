@@ -77,14 +77,14 @@ impl<'w> CrawlFarm<'w> {
     /// (the paper avoids revisiting a site with the *same* UA but visits
     /// it with each different one).
     ///
-    /// Every pass runs the render-free fast path: screenshots are
-    /// captured as fused perceptual hashes through one crawl-wide
+    /// Every pass runs the hash-only fast path: screenshots are captured
+    /// as deferred perceptual hashes through one crawl-wide
     /// [`RenderCache`], so each campaign/page template's clean render is
-    /// computed once per crawl instead of once per visit — and no landing
-    /// pixel buffer is ever materialized. The dataset is byte-identical
-    /// to full-render visits (it stores hashes, and the fused-hash ==
-    /// render-then-hash identity is pinned in `seacma-simweb`) and to any
-    /// other worker count.
+    /// computed once per crawl instead of once per visit — and only a
+    /// recorded landing pays the per-instance noise pass. The dataset is
+    /// byte-identical to full-render visits (it stores hashes, and the
+    /// noised-hash == render-then-hash identity is pinned in
+    /// `seacma-simweb`) and to any other worker count.
     ///
     /// Record domain strings are interned into `arena`. Workers intern
     /// into private scratch arenas while crawling; at assembly the merged

@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn hash_mode_with_cache_equals_full_render_visits() {
-        // The farm's fast path (fused hashes through a shared clean-render
+        // The farm's fast path (deferred hashes through a shared clean-render
         // cache) must reproduce the full-render visit records byte for
         // byte — SiteVisit stores dhashes, never pixels, so equality here
         // pins the whole record including landing hashes.

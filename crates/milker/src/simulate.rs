@@ -126,9 +126,9 @@ pub(crate) fn simulate_source(
             // Candidate tick: load the document for real (probe and load
             // agree on the landing hop for hop).
             if let Ok((landing_url, page)) = browser.load(&src.url, t) {
-                // Hash without rendering: the match check compares dhash
-                // bits, never pixels (fused noise+downsample pass over the
-                // cached clean render).
+                // Hash without rendering the template again: the match
+                // check compares dhash bits, never pixels (noise pass over
+                // a scratch copy of the cached clean render).
                 let shot_hash = browser.screenshot_dhash(&landing_url, &page, t);
                 if hamming(shot_hash, src.reference) <= MATCH_THRESHOLD {
                     last_skip = Some(landing_url.host.clone());

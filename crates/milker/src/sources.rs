@@ -8,7 +8,7 @@
 
 use seacma_util::impl_json_struct;
 
-use seacma_browser::{BrowserConfig, BrowserSession};
+use seacma_browser::{BrowserConfig, BrowserSession, RenderCache};
 use seacma_simweb::{SimTime, UaProfile, Url, Vantage, World};
 use seacma_vision::dhash::{hamming, Dhash};
 
@@ -53,6 +53,9 @@ pub fn validate_candidates(
 ) -> Vec<MilkingSource> {
     let mut out: Vec<MilkingSource> = Vec::new();
     let mut seen = std::collections::HashSet::new();
+    // Candidates of one campaign land on the same creative: render each
+    // template's clean pass once per call, not once per candidate.
+    let cache = RenderCache::new();
     for c in candidates {
         if !seen.insert((c.url.clone(), c.ua)) {
             continue;
@@ -60,14 +63,14 @@ pub fn validate_candidates(
         // Milking runs from residential space so cloaking networks can't
         // starve it (§3.2) — though validated sources are usually TDS
         // URLs that don't cloak. The match check compares dhash bits,
-        // never pixels, so the session runs in hash mode (fused
-        // noise+downsample pass, no pixel buffer).
+        // never pixels, so the session runs in hash mode (the capture is
+        // the hash's two inputs, resolved below through the cache).
         let cfg = BrowserConfig::instrumented(c.ua, Vantage::Residential).hash_screenshots();
         let mut session = BrowserSession::new(world, cfg, t);
         let Ok(loaded) = session.navigate(&c.url) else {
             continue;
         };
-        let d = loaded.screenshot.dhash();
+        let d = loaded.screenshot.dhash_via(Some(&cache));
         if hamming(d, c.reference) <= MATCH_THRESHOLD {
             out.push(MilkingSource {
                 url: c.url,

@@ -97,8 +97,8 @@ impl VisualTemplate {
     /// to [`render`](Self::render) when `clean` came from
     /// [`render_clean`](Self::render_clean) of the same template — which
     /// lets high-frequency re-visitors (the milker renders the same
-    /// campaign creative thousands of times) cache the expensive clean
-    /// pass per template and pay only the cheap noise pass per instance.
+    /// campaign creative thousands of times) cache the clean pass per
+    /// template and pay only the noise pass per instance.
     pub fn render_from_clean(clean: &Bitmap, instance_seed: u64) -> Bitmap {
         let mut bm = clean.clone();
         bm.perturb(instance_seed, INSTANCE_NOISE);
@@ -106,11 +106,10 @@ impl VisualTemplate {
     }
 
     /// The perceptual hash of [`render_from_clean`](Self::render_from_clean)
-    /// — bit-identical to `dhash128(&Self::render_from_clean(clean, seed))`
-    /// but computed in one fused pass over the clean render, with no
-    /// bitmap materialized (`seacma_vision::dhash::dhash128_noised`). The
-    /// milker hashes thousands of per-visit screenshots of each cached
-    /// clean render and never inspects the pixels; this is its path.
+    /// — `dhash128(&Self::render_from_clean(clean, seed))` for callers that
+    /// never inspect the pixels (`seacma_vision::dhash::dhash128_noised`):
+    /// the crawl's recorded landings, source validation, and the milker's
+    /// thousands of per-visit screenshots of each cached clean render.
     pub fn dhash_from_clean(clean: &Bitmap, instance_seed: u64) -> Dhash {
         dhash128_noised(clean, instance_seed, INSTANCE_NOISE)
     }

@@ -112,46 +112,69 @@ impl Bitmap {
         }
     }
 
-    /// Area-averaged downsample to `(nw, nh)`. Used by the perceptual hash.
+    /// Area-averaged downsample to `(nw, nh)`: each output pixel is the
+    /// mean (rounded down) of the source pixels its cell covers.
     pub fn resize(&self, nw: usize, nh: usize) -> Bitmap {
+        let mut means = vec![0; nw * nh];
+        self.cell_means(nw, nh, &mut means);
+        Bitmap::from_pixels(nw, nh, means.into_iter().map(|m| m as u8).collect())
+    }
+
+    /// The downsample behind [`resize`](Self::resize) and the perceptual
+    /// hash: writes the `nw × nh` cell means, row-major, into `means`. Cell
+    /// `o` of `n` along an axis of `len` pixels covers source coordinates
+    /// `⌊o·len/n⌋ .. ⌈(o+1)·len/n⌉` — at least one, so neighbouring cells
+    /// share a pixel when the scale is fractional and repeat pixels when
+    /// upscaling.
+    pub(crate) fn cell_means(&self, nw: usize, nh: usize, means: &mut [u32]) {
         assert!(nw > 0 && nh > 0, "resize dimensions must be nonzero");
-        let mut out = Bitmap::new(nw, nh);
-        for oy in 0..nh {
-            let y0 = oy * self.height / nh;
-            let y1 = (((oy + 1) * self.height).div_ceil(nh)).max(y0 + 1).min(self.height);
-            for ox in 0..nw {
-                let x0 = ox * self.width / nw;
-                let x1 = (((ox + 1) * self.width).div_ceil(nw)).max(x0 + 1).min(self.width);
-                let mut sum: u32 = 0;
-                let mut n: u32 = 0;
+        assert_eq!(means.len(), nw * nh, "one mean per cell");
+        // Columns summed at a time: bounds the stack, not the image width.
+        const TILE: usize = 256;
+        let (w, h) = (self.width, self.height);
+        let spans = |n: usize, len: usize| {
+            let mut lo = 0;
+            (1..=n).map(move |o| {
+                let (start, end) = (lo, o * len);
+                lo = end / n;
+                (start, (lo + usize::from(end % n != 0)).max(start + 1).min(len))
+            })
+        };
+        let mut column = [0u32; TILE];
+        for (cells, (y0, y1)) in means.chunks_exact_mut(nw).zip(spans(nh, h)) {
+            // Sum the cell row's source rows column by column first — wide,
+            // contiguous adds — and only then the few columns of each cell.
+            cells.fill(0);
+            for t0 in (0..w).step_by(TILE) {
+                let column = &mut column[..TILE.min(w - t0)];
+                column.fill(0);
                 for y in y0..y1 {
-                    for x in x0..x1 {
-                        sum += u32::from(self.pixels[y * self.width + x]);
-                        n += 1;
+                    for (c, &p) in column.iter_mut().zip(&self.pixels[y * w + t0..]) {
+                        *c += u32::from(p);
                     }
                 }
-                out.pixels[oy * nw + ox] = (sum / n.max(1)) as u8;
+                for (cell, (x0, x1)) in cells.iter_mut().zip(spans(nw, w)) {
+                    let (lo, hi) = (x0.max(t0), x1.min(t0 + column.len()));
+                    if lo < hi {
+                        *cell += column[lo - t0..hi - t0].iter().sum::<u32>();
+                    }
+                }
+            }
+            for (cell, (x0, x1)) in cells.iter_mut().zip(spans(nw, w)) {
+                *cell /= ((y1 - y0) * (x1 - x0)) as u32;
             }
         }
-        out
     }
 
     /// Adds deterministic per-pixel noise with the given amplitude, keyed by
     /// `seed`. Models the small visual differences (timestamps, rotating
     /// product names, localized strings) between instances of one campaign.
+    ///
+    /// Pixel `i` (row-major) moves by `s_i % (2·amplitude + 1) − amplitude`,
+    /// clamped to `0..=255`, where `s_i` is the `i`-th state of a plain
+    /// xorshift64 generator started from `seed`.
     pub fn perturb(&mut self, seed: u64, amplitude: u8) {
-        if amplitude == 0 {
-            return;
-        }
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        for p in &mut self.pixels {
-            // xorshift64* — cheap, deterministic, good enough for noise.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let delta = (state % (2 * u64::from(amplitude) + 1)) as i16 - i16::from(amplitude);
-            *p = (i16::from(*p) + delta).clamp(0, 255) as u8;
-        }
+        crate::noise::apply(&mut self.pixels, seed, amplitude);
     }
 
     /// Mean absolute per-pixel difference; `None` if dimensions differ.
@@ -250,6 +273,44 @@ mod tests {
         assert_eq!(b.get(1, 1), 255);
         assert_eq!(b.get(6, 6), 255);
         assert_eq!(b.get(3, 3), 0, "interior must stay empty");
+    }
+
+    /// `resize` as first written: every cell sums its own source rectangle.
+    fn naive_resize(b: &Bitmap, nw: usize, nh: usize) -> Bitmap {
+        let mut out = Bitmap::new(nw, nh);
+        for oy in 0..nh {
+            let y0 = oy * b.height / nh;
+            let y1 = (((oy + 1) * b.height).div_ceil(nh)).max(y0 + 1).min(b.height);
+            for ox in 0..nw {
+                let x0 = ox * b.width / nw;
+                let x1 = (((ox + 1) * b.width).div_ceil(nw)).max(x0 + 1).min(b.width);
+                let mut sum: u32 = 0;
+                for y in y0..y1 {
+                    for x in x0..x1 {
+                        sum += u32::from(b.get(x, y));
+                    }
+                }
+                out.set(ox, oy, (sum / ((y1 - y0) * (x1 - x0)) as u32) as u8);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn resize_equals_naive_cell_averages() {
+        // Down- and upscaling on both axes, fractional scales, the hash's
+        // own 17×8 and 9×8 grids, and images wider than one column tile.
+        seacma_util::forall!(150, |rng| {
+            let w = if rng.bool(0.2) { rng.range(250, 700) } else { rng.range(1, 200) };
+            let h = rng.range(1, 130);
+            let b = Bitmap::from_pixels(w, h, (0..w * h).map(|_| rng.u8()).collect());
+            let (nw, nh) = match rng.below(4) {
+                0 => (17, 8),
+                1 => (9, 8),
+                _ => (rng.range(1, 300), rng.range(1, 40)),
+            };
+            assert_eq!(b.resize(nw, nh), naive_resize(&b, nw, nh), "{w}x{h} -> {nw}x{nh}");
+        });
     }
 
     #[test]

@@ -71,119 +71,39 @@ impl Dhash {
 /// assert!(d <= 12, "near-duplicates stay inside the DBSCAN eps ball");
 /// ```
 pub fn dhash128(image: &Bitmap) -> Dhash {
-    let small = image.resize(HASH_COLS + 1, HASH_ROWS);
-    let mut bits: u128 = 0;
-    for row in 0..HASH_ROWS {
-        for col in 0..HASH_COLS {
-            bits <<= 1;
-            if small.get(col, row) > small.get(col + 1, row) {
-                bits |= 1;
-            }
-        }
-    }
-    Dhash(bits)
+    dhash_grid(image, HASH_COLS, HASH_ROWS)
 }
 
-/// Computes `dhash128` of a noised copy of `clean` — bit-identical to
-/// `dhash128(&{ let mut b = clean.clone(); b.perturb(seed, amplitude); b })`
-/// — without materializing the noised bitmap.
-///
-/// [`Bitmap::perturb`] draws one xorshift64* delta per pixel in row-major
-/// order, and [`Bitmap::resize`] area-averages each output cell over a
-/// contiguous pixel range. Both passes are fused here: a single row-major
-/// sweep draws each delta, clamps the pixel, and adds it straight into the
-/// 17×8 accumulator grid. Because the per-axis source ranges of `resize`
-/// are monotone, the cells covering a given coordinate form a contiguous
-/// interval, precomputed per row and per column. The milker, which hashes
-/// thousands of per-visit screenshots of the same cached clean render and
-/// never looks at the pixels, calls this instead of render-then-hash.
+/// Computes `dhash128` of a noised copy of `clean`: [`Bitmap::perturb`]
+/// into a scratch copy, then the hash of that. The milker and the crawl
+/// hash thousands of per-visit screenshots of each cached clean render and
+/// never look at the pixels; this is their path.
 pub fn dhash128_noised(clean: &Bitmap, seed: u64, amplitude: u8) -> Dhash {
-    // Monomorphize the per-pixel modulo for the one amplitude the
-    // simulated renderer actually uses (`INSTANCE_NOISE == 5` ⇒ span 11):
-    // with the divisor a compile-time constant the compiler strength-
-    // reduces the division to a multiply-shift, which dominates the
-    // per-pixel cost otherwise.
-    match amplitude {
-        5 => noised_core(clean, seed, 5, |s| s % 11),
-        _ => {
-            let span = 2 * u64::from(amplitude) + 1;
-            noised_core(clean, seed, amplitude, move |s| s % span)
-        }
-    }
+    let mut noised = clean.clone();
+    noised.perturb(seed, amplitude);
+    dhash128(&noised)
 }
 
-#[inline(always)]
-fn noised_core(clean: &Bitmap, seed: u64, amplitude: u8, rem: impl Fn(u64) -> u64) -> Dhash {
-    let (w, h) = (clean.width(), clean.height());
-    let (nw, nh) = (HASH_COLS + 1, HASH_ROWS);
-    // Per-axis cell intervals: coordinate v is averaged into exactly the
-    // cells [lo[v], hi[v]] (inclusive). The source ranges `resize` uses
-    // are monotone per axis, so each coordinate's cells are contiguous —
-    // overlapping by up to one cell when the scale factor is fractional.
-    // A cell's pixel count is the product of its per-axis range lengths,
-    // so counts need no accumulation in the pixel loop.
-    let mut xlo = vec![u8::MAX; w];
-    let mut xhi = vec![0u8; w];
-    let mut xcnt = [0u32; HASH_COLS + 1];
-    for ox in 0..nw {
-        let x0 = ox * w / nw;
-        let x1 = (((ox + 1) * w).div_ceil(nw)).max(x0 + 1).min(w);
-        xcnt[ox] = (x1 - x0) as u32;
-        for x in x0..x1 {
-            xlo[x] = xlo[x].min(ox as u8);
-            xhi[x] = ox as u8;
-        }
-    }
-    let mut ylo = vec![u8::MAX; h];
-    let mut yhi = vec![0u8; h];
-    let mut ycnt = [0u32; HASH_ROWS];
-    for oy in 0..nh {
-        let y0 = oy * h / nh;
-        let y1 = (((oy + 1) * h).div_ceil(nh)).max(y0 + 1).min(h);
-        ycnt[oy] = (y1 - y0) as u32;
-        for y in y0..y1 {
-            ylo[y] = ylo[y].min(oy as u8);
-            yhi[y] = oy as u8;
-        }
-    }
-
-    let pixels = clean.pixels();
-    let amp = i16::from(amplitude);
-    let mut sums = [[0u32; HASH_COLS + 1]; HASH_ROWS];
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-    for y in 0..h {
-        // Accumulate the row into per-column bins, then fold the row total
-        // into each covering cell row once — the per-pixel work is just
-        // the noise draw, the clamp and one or two bin adds.
-        let mut row = [0u32; HASH_COLS + 1];
-        for (x, &p) in pixels[y * w..(y + 1) * w].iter().enumerate() {
-            // Same stream as `perturb`: one xorshift64* step per pixel,
-            // row-major, whether or not the pixel lands in any cell.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let delta = rem(state) as i16 - amp;
-            let v = u32::from((i16::from(p) + delta).clamp(0, 255) as u8);
-            for ox in xlo[x]..=xhi[x] {
-                row[usize::from(ox)] += v;
-            }
-        }
-        for oy in ylo[y]..=yhi[y] {
-            for (s, r) in sums[usize::from(oy)].iter_mut().zip(row) {
-                *s += r;
-            }
-        }
-    }
-
+/// Computes the `cols × rows`-bit difference hash of an image, in the low
+/// bits of the word: the image is area-averaged down to `(cols + 1) × rows`
+/// cells as [`Bitmap::resize`] does, and the bit at position `row * cols +
+/// col` (counted from the most significant of the `cols * rows`) is set iff
+/// cell `(col, row)` is strictly brighter than `(col + 1, row)`.
+/// [`dhash128`] is the 16×8 grid; the hash-width ablation also runs 8×8.
+///
+/// # Panics
+/// Panics if the grid is empty or has more than 128 gradients.
+pub fn dhash_grid(image: &Bitmap, cols: usize, rows: usize) -> Dhash {
+    const BITS: usize = HASH_BITS as usize;
+    assert!(cols > 0 && rows > 0 && cols * rows <= BITS, "grid must hold 1..=128 gradients");
+    // One more cell than gradients per row, and at most `BITS` rows.
+    let mut means = [0; 2 * BITS];
+    let means = &mut means[..(cols + 1) * rows];
+    image.cell_means(cols + 1, rows, means);
     let mut bits: u128 = 0;
-    for r in 0..HASH_ROWS {
-        for col in 0..HASH_COLS {
-            bits <<= 1;
-            let a = sums[r][col] / (ycnt[r] * xcnt[col]).max(1);
-            let b = sums[r][col + 1] / (ycnt[r] * xcnt[col + 1]).max(1);
-            if a > b {
-                bits |= 1;
-            }
+    for row in means.chunks_exact(cols + 1) {
+        for pair in row.windows(2) {
+            bits = bits << 1 | u128::from(pair[0] > pair[1]);
         }
     }
     Dhash(bits)
@@ -263,12 +183,21 @@ mod tests {
 
     #[test]
     fn noised_hash_equals_perturb_then_hash() {
-        // The fused pass must be bit-identical to the materialized one on
-        // arbitrary bitmaps — odd sizes, smaller than the hash grid, flat
-        // and textured content, zero and large amplitudes.
+        // `perturb` and `dhash128_noised` share the lane stream, so both
+        // are held to the one-step-per-pixel oracle rather than to each
+        // other, on arbitrary bitmaps — odd sizes, smaller than the hash
+        // grid, flat and textured content, zero and large amplitudes. A
+        // quarter of the cases run the one point production runs (128×80,
+        // amplitude 5) and half of the rest its amplitude.
+        use crate::bitmap::{DEFAULT_HEIGHT, DEFAULT_WIDTH};
         seacma_util::forall!(150, |rng| {
-            let w = rng.range(1, 190);
-            let h = rng.range(1, 120);
+            let production = rng.bool(0.25);
+            let (w, h) = if production {
+                (DEFAULT_WIDTH, DEFAULT_HEIGHT)
+            } else {
+                (rng.range(1, 190), rng.range(1, 120))
+            };
+            let amplitude = if production || rng.bool(0.5) { 5 } else { rng.u8() };
             let base = rng.below(256) as usize;
             let stride = rng.range(0, 9);
             let mut clean = Bitmap::new(w, h);
@@ -277,15 +206,38 @@ mod tests {
                     clean.set(x, y, ((base + x * stride + y * 2) % 256) as u8);
                 }
             }
-            let seed = rng.range_u64(0, u64::MAX);
-            let amplitude = rng.below(40) as u8;
+            let seed = rng.u64();
+            let mut pixels = clean.pixels().to_vec();
+            crate::noise::reference(&mut pixels, seed, amplitude);
+            let want = Bitmap::from_pixels(w, h, pixels);
             let mut noised = clean.clone();
             noised.perturb(seed, amplitude);
+            assert_eq!(noised, want, "perturb at {w}x{h} seed={seed} amp={amplitude}");
             assert_eq!(
                 dhash128_noised(&clean, seed, amplitude),
-                dhash128(&noised),
-                "fused/materialized divergence at {w}x{h} seed={seed} amp={amplitude}"
+                dhash128(&want),
+                "noised hash at {w}x{h} seed={seed} amp={amplitude}"
             );
+        });
+    }
+
+    #[test]
+    fn grid_hash_is_resize_then_compare() {
+        seacma_util::forall!(60, |rng| {
+            let (w, h) = (rng.range(1, 300), rng.range(1, 100));
+            let image = Bitmap::from_pixels(w, h, (0..w * h).map(|_| rng.u8()).collect());
+            for (cols, rows) in [(HASH_COLS, HASH_ROWS), (8, 8), (128, 1), (1, 128), (3, 5)] {
+                let small = image.resize(cols + 1, rows);
+                let mut bits: u128 = 0;
+                for row in 0..rows {
+                    for col in 0..cols {
+                        let brighter = small.get(col, row) > small.get(col + 1, row);
+                        bits = bits << 1 | u128::from(brighter);
+                    }
+                }
+                let got = dhash_grid(&image, cols, rows);
+                assert_eq!(got, Dhash(bits), "{w}x{h} grid {cols}x{rows}");
+            }
         });
     }
 

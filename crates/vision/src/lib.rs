@@ -30,6 +30,7 @@ pub mod cluster;
 pub mod dbscan;
 pub mod dhash;
 pub mod index;
+mod noise;
 
 pub use bitmap::Bitmap;
 pub use cluster::{cluster_screenshots, ClusterParams, ScreenshotClusters, ScreenshotPoint};

@@ -42,9 +42,21 @@ CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path benchmark
 # the checked-in baseline by more than 10%; the summed phase wall time
 # must stay under a generous sanity ceiling (~0.4 s on a dev box; 10 s
 # catches a pathological slowdown without flaking on slow CI hardware).
-trace=$(mktemp)
-benchmark/run.sh --workload pipeline-sweep --seed 42 --seconds 10 --trace 1 --smoke \
-    | tail -n 1 >"$trace"
+# The same run's digest (FNV-1a of each world's final tracker state, i.e.
+# every tracked dhash, plus its landing, campaign, source and discovery
+# counts) is pinned beside the baseline: a kernel that drifts by one bit
+# on this host, or under the instantiation this CPU selects, fails here.
+run=$(mktemp) trace=$(mktemp)
+benchmark/run.sh --workload pipeline-sweep --seed 42 --seconds 10 --trace 1 --smoke >"$run"
+tail -n 1 "$run" >"$trace"
+digest=$(sed -n 's/^wall .*; digest \([0-9a-f]*\);.*/\1/p' "$run")
+pinned=$(sed -n 's/.*"digest": *"\([0-9a-f]*\)".*/\1/p' scripts/e2e_alloc_baseline.json)
+if [ -z "$pinned" ] || [ "$digest" != "$pinned" ]; then
+    echo "digest drift: traced pipeline-sweep --seed 42 --smoke reports '$digest'," \
+        "scripts/e2e_alloc_baseline.json pins '$pinned'"
+    exit 1
+fi
+echo "digest gate: $digest equals the pinned value"
 awk '
     # The value of metric `name` in the one-line result object.
     function metric(line, name,    key, at, rest) {
@@ -86,8 +98,8 @@ awk '
         exit bad
     }
 ' scripts/e2e_alloc_baseline.json "$trace"
-rm -f "$trace"
-echo "benchmark smoke: every gate true, per-phase allocs within baseline"
+rm -f "$run" "$trace"
+echo "benchmark smoke: every gate true, digest pinned, per-phase allocs within baseline"
 
 # Daemon end-to-end smoke: boot seacmad over the simulated measurement,
 # let the epoch loop drain, query, snapshot — then resume from that
