@@ -1,9 +1,9 @@
 //! # seacma-bench
 //!
-//! The front ends. `seacma` (`src/bin/seacma.rs`) is the command-line
+//! The front end. `seacma` (`src/bin/seacma.rs`) is the command-line
 //! interface to the pipeline: every table and figure of the evaluation,
 //! and every side experiment, is a `seacma-report` analysis it prints
-//! (`seacma report [--only ID]`). `detect_eval` is the online detector's
+//! (`seacma report [--only ID]`); `seacma eval` is the online detector's
 //! held-out quality evaluation. Timing is not measured here — that is
 //! `benchmark/` at the repository root.
 //!

@@ -14,12 +14,12 @@
 //! same screenshot bits) is asserted by this module's tests; the milker's
 //! thread-count-invariance suite pins it end to end.
 
-use seacma_simweb::{ClientProfile, HostResponse, LiteResponse, Page, SimTime, Url, World};
+use seacma_simweb::{ClientProfile, LiteResponse, Page, SimTime, Url, World};
 use seacma_vision::bitmap::Bitmap;
 use seacma_vision::dhash::Dhash;
 
 use crate::render_cache::RenderCache;
-use crate::session::{screenshot_seed, BrowserConfig, NavError, MAX_REDIRECTS};
+use crate::session::{follow, screenshot_seed, BrowserConfig, NavError, MAX_REDIRECTS};
 
 /// A reusable, log-free browser bound to one client configuration.
 ///
@@ -103,20 +103,11 @@ impl<'w> QuietBrowser<'w> {
         &self.client
     }
 
-    /// Loads `url` at time `t`, following redirects exactly as
-    /// [`BrowserSession::navigate`](crate::BrowserSession::navigate) does
+    /// Loads `url` at time `t`, following redirects through the loop
+    /// [`BrowserSession::navigate`](crate::BrowserSession::navigate) uses
     /// (same hop limit, same error mapping) but recording nothing.
     pub fn load(&self, url: &Url, t: SimTime) -> Result<(Url, Page), NavError> {
-        let mut current = url.clone();
-        for _ in 0..MAX_REDIRECTS {
-            match self.world.fetch(&current, &self.client, t) {
-                HostResponse::Redirect { to, .. } => current = to,
-                HostResponse::Page(page) => return Ok((current, *page)),
-                HostResponse::NxDomain => return Err(NavError::NxDomain(current)),
-                HostResponse::Refused => return Err(NavError::Refused(current)),
-            }
-        }
-        Err(NavError::TooManyRedirects(current))
+        follow(self.world, &self.client, url, t, |_, _, _| {})
     }
 
     /// Resolves where loading `url` at `t` would land — the final URL of

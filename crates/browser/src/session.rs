@@ -23,6 +23,34 @@ use crate::render_cache::RenderCache;
 /// behaviour; the simulated chains are ≤ 4 hops).
 pub const MAX_REDIRECTS: usize = 12;
 
+/// The one redirect-following loop: fetches `url` as `client` at time `t`
+/// and follows up to [`MAX_REDIRECTS`] hops to the document they end in,
+/// handing each hop `(from, to, kind)` to `on_hop` as it is taken. Both
+/// browsers navigate through this — the instrumented session's `on_hop`
+/// logs and records the hop, the quiet browser's does nothing — so they
+/// cannot disagree on a landing or on an error.
+pub(crate) fn follow(
+    world: &World,
+    client: &ClientProfile,
+    url: &Url,
+    t: SimTime,
+    mut on_hop: impl FnMut(Url, &Url, RedirectKind),
+) -> Result<(Url, Page), NavError> {
+    let mut current = url.clone();
+    for _ in 0..MAX_REDIRECTS {
+        match world.fetch(&current, client, t) {
+            HostResponse::Redirect { to, kind } => {
+                on_hop(current, &to, kind);
+                current = to;
+            }
+            HostResponse::Page(page) => return Ok((current, *page)),
+            HostResponse::NxDomain => return Err(NavError::NxDomain(current)),
+            HostResponse::Refused => return Err(NavError::Refused(current)),
+        }
+    }
+    Err(NavError::TooManyRedirects(current))
+}
+
 /// What the session captures of each loaded page's appearance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScreenshotMode {
@@ -381,35 +409,25 @@ impl<'w> BrowserSession<'w> {
         self.log.navigation_start(url, cause, initiator);
 
         let client = self.config.client();
-        let mut current = url.clone();
         let mut hops = Vec::new();
-        for _ in 0..MAX_REDIRECTS {
-            match self.world.fetch(&current, &client, self.clock) {
-                HostResponse::Redirect { to, kind } => {
-                    self.log.redirected(&current, &to, kind);
-                    if !kind.is_http() {
-                        // JS redirections surface as API calls in the
-                        // instrumented log.
-                        let api = match kind {
-                            RedirectKind::JsLocation => "window.location",
-                            RedirectKind::JsPushState => "history.pushState",
-                            RedirectKind::JsSetTimeout => "window.setTimeout",
-                            RedirectKind::MetaRefresh => "meta.refresh",
-                            _ => unreachable!("http kinds filtered above"),
-                        };
-                        self.log.js_api_call(&current, api);
-                    }
-                    hops.push((current, to.clone(), kind));
-                    current = to;
-                }
-                HostResponse::Page(page) => {
-                    return Ok(self.finish_load(*page, current, hops));
-                }
-                HostResponse::NxDomain => return Err(NavError::NxDomain(current)),
-                HostResponse::Refused => return Err(NavError::Refused(current)),
+        let log = &mut self.log;
+        let (landing, page) = follow(self.world, &client, url, self.clock, |from, to, kind| {
+            log.redirected(&from, to, kind);
+            if !kind.is_http() {
+                // JS redirections surface as API calls in the
+                // instrumented log.
+                let api = match kind {
+                    RedirectKind::JsLocation => "window.location",
+                    RedirectKind::JsPushState => "history.pushState",
+                    RedirectKind::JsSetTimeout => "window.setTimeout",
+                    RedirectKind::MetaRefresh => "meta.refresh",
+                    _ => unreachable!("http kinds filtered above"),
+                };
+                log.js_api_call(&from, api);
             }
-        }
-        Err(NavError::TooManyRedirects(current))
+            hops.push((from, to.clone(), kind));
+        })?;
+        Ok(self.finish_load(page, landing, hops))
     }
 
     fn finish_load(&mut self, page: Page, url: Url, hops: Vec<(Url, Url, RedirectKind)>) -> LoadedPage {

@@ -4,7 +4,7 @@
 //! the crawl captured becomes one [`EvalObservation`] — the page-load
 //! observation the detector would have been handed online (fused dhash +
 //! cheap structural signals) plus the world's ground truth (attack or
-//! benign, and which campaign). The `detect_eval` binary scores a served
+//! benign, and which campaign). `seacma eval` scores a served
 //! [`Detector`](seacma_detect::Detector) against these to report
 //! precision/recall on campaigns the index has seen **and** on campaigns
 //! held out of the feed entirely — the generalization claim the

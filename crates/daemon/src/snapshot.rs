@@ -18,14 +18,13 @@ use seacma_tracker::CampaignTracker;
 use seacma_util::sym::{SharedArena, Sym};
 use seacma_vision::cluster::ScreenshotPoint;
 use seacma_vision::dhash::Dhash;
-use seacma_vision::index::HammingIndex;
 
 use crate::query::{CampaignStatus, DhashMatch, UrlVerdict};
 
-/// One epoch boundary's frozen reputation state: the unique points (held
-/// as struct-of-arrays columns — the Hamming index owns the contiguous
-/// dhash column, e2LDs are a symbol column into a shared arena), the
-/// ledger's point assignments, and per-campaign statuses.
+/// One epoch boundary's frozen reputation state: the unique points' dhash
+/// column inside **one** Hamming index (the detector's), the ledger's
+/// point assignments parallel to it, and per-campaign statuses with their
+/// domains as symbols into a shared arena.
 ///
 /// All queries are read-only and a pure function of the snapshot, so the
 /// same snapshot always returns byte-identical answers — the invariant the
@@ -53,21 +52,18 @@ use crate::query::{CampaignStatus, DhashMatch, UrlVerdict};
 #[derive(Debug, Clone)]
 pub struct ReputationSnapshot {
     epoch: u32,
-    /// Owns the contiguous dhash column.
-    index: HammingIndex,
-    /// e2LD symbol per point, parallel to the index's hash column.
-    e2lds: Vec<Sym>,
-    /// The arena `e2lds` and `domains` resolve against.
+    /// The arena `domains` resolves against.
     arena: SharedArena,
+    /// Ledger id per point, parallel to the detector's hash column.
     assignments: Vec<Option<u32>>,
     domains: HashMap<Sym, u32>,
     statuses: Vec<CampaignStatus>,
-    /// The online detector's frozen view over the same hash column: one
-    /// more banded index, at the escalated radius (17 bands at the default
-    /// `eps`; its probe answers the clustering radius too), plus the
-    /// assignment column restricted to θc-qualified campaigns. The next
-    /// epoch's snapshot carries this index forward
-    /// ([`Detector::carried_forward`]).
+    /// The online detector's frozen view, and the snapshot's only index:
+    /// it owns the dhash column, banded at the escalated radius (17 bands
+    /// at the default `eps`; the same bands answer the clustering radius
+    /// for [`ReputationSnapshot::nearest_campaign`]), plus the assignment
+    /// column restricted to θc-qualified campaigns. The next epoch's
+    /// snapshot carries this index forward ([`Detector::carried_forward`]).
     detector: Detector,
 }
 
@@ -79,9 +75,8 @@ impl ReputationSnapshot {
     /// answer — a snapshot built mid-epoch answers exactly like the one
     /// published at the last boundary.
     ///
-    /// What this costs: the tracker's live clustering-radius index and
-    /// its symbol and assignment columns are **cloned** (no re-hashing, no
-    /// string copies), the arena is shared by handle, the per-campaign
+    /// What this costs: the ledger's assignment column is **cloned**, the
+    /// arena is shared by handle (no string copies), the per-campaign
     /// statuses and the domain map are **rebuilt** (O(campaigns)), and the
     /// detector's escalated-radius index is **rebuilt from scratch** —
     /// every hash into every band, the dominant term. This is the boot and
@@ -103,11 +98,10 @@ impl ReputationSnapshot {
     /// is detected there and costs a from-scratch build, never a wrong
     /// answer.
     pub(crate) fn freeze(tracker: &CampaignTracker, prev: Option<&ReputationSnapshot>) -> Self {
-        let index = tracker.hamming_index().clone();
-        let e2lds = tracker.e2ld_syms().to_vec();
+        let hashes = tracker.dhashes();
         let arena = tracker.arena().clone();
         let mut assignments = tracker.ledger().assignments().to_vec();
-        assignments.resize(e2lds.len(), None);
+        assignments.resize(hashes.len(), None);
         let statuses: Vec<CampaignStatus> = {
             let resolver = arena.read();
             tracker
@@ -121,10 +115,10 @@ impl ReputationSnapshot {
         let qualified = detect_assignments(&assignments, &statuses);
         let config = DetectorConfig::for_eps(tracker.config().params.eps);
         let detector = match prev {
-            Some(prev) => prev.detector.carried_forward(index.hashes(), &qualified, config),
-            None => Detector::from_columns(index.hashes(), &qualified, config),
+            Some(prev) => prev.detector.carried_forward(hashes, &qualified, config),
+            None => Detector::from_columns(hashes, &qualified, config),
         };
-        Self { epoch: tracker.epoch(), index, e2lds, arena, assignments, domains, statuses, detector }
+        Self { epoch: tracker.epoch(), arena, assignments, domains, statuses, detector }
     }
 
     /// Assembles a snapshot from its constituent parts — the entry point
@@ -134,7 +128,7 @@ impl ReputationSnapshot {
     ///
     /// `assignments[i]` is the ledger id of `points[i]` (`None` = noise or
     /// not yet observed); `statuses` lists every ledger record in id order;
-    /// `eps` is the clustering radius the index answers dhash queries for.
+    /// `eps` is the clustering radius dhash queries are answered at.
     /// The domain map assigns each e2LD of a non-merged record to the
     /// smallest claiming ledger id (records are scanned in id order).
     pub fn from_parts(
@@ -146,16 +140,14 @@ impl ReputationSnapshot {
     ) -> Self {
         debug_assert_eq!(points.len(), assignments.len());
         let hashes: Vec<Dhash> = points.iter().map(|p| p.dhash).collect();
-        let index = HammingIndex::build(&hashes, eps);
         let arena = SharedArena::new();
-        let e2lds: Vec<Sym> = points.iter().map(|p| arena.intern(&p.e2ld)).collect();
         let domains = domain_map(&arena, &statuses);
         let detector = Detector::from_columns(
             &hashes,
             &detect_assignments(&assignments, &statuses),
             DetectorConfig::for_eps(eps),
         );
-        Self { epoch, index, e2lds, arena, assignments, domains, statuses, detector }
+        Self { epoch, arena, assignments, domains, statuses, detector }
     }
 
     /// The number of closed epochs this snapshot reflects.
@@ -163,22 +155,9 @@ impl ReputationSnapshot {
         self.epoch
     }
 
-    /// The distinct `(dhash, e2LD)` points frozen into the snapshot,
-    /// materialized from the columns. Query paths never call this; it
-    /// exists for tests and offline comparison.
-    pub fn points(&self) -> Vec<ScreenshotPoint> {
-        let arena = self.arena.read();
-        self.index
-            .hashes()
-            .iter()
-            .zip(&self.e2lds)
-            .map(|(&d, &s)| ScreenshotPoint::new(d, arena.resolve(s)))
-            .collect()
-    }
-
     /// Number of unique points resident in the snapshot.
     pub fn resident_points(&self) -> usize {
-        self.e2lds.len()
+        self.detector.len()
     }
 
     /// Number of distinct strings in the snapshot's symbol arena. For a
@@ -229,19 +208,13 @@ impl ReputationSnapshot {
     /// within the radius — an unassigned (noise or mid-epoch) point never
     /// produces a match.
     pub fn nearest_campaign(&self, h: Dhash) -> Option<DhashMatch> {
-        let hashes = self.index.hashes();
-        let mut scratch = Vec::new();
-        self.index.neighbours_of_hash(h, &mut scratch);
-        scratch
-            .iter()
-            .filter_map(|&q| {
-                self.assignments[q].map(|id| ((h.0 ^ hashes[q].0).count_ones(), q, id))
-            })
-            .min_by_key(|&(d, q, _)| (d, q))
-            .map(|(distance, _, id)| {
+        let radius = self.detector.config().base_radius();
+        self.detector.nearest_assigned(h, &self.assignments, radius, &mut Vec::new()).map(
+            |(id, distance)| {
                 let s = &self.statuses[id as usize];
                 DhashMatch { campaign: id, distance, state: s.state, qualified: s.qualified }
-            })
+            },
+        )
     }
 
     /// The snapshot's frozen online-detector view.
@@ -279,10 +252,11 @@ fn detect_assignments(
 }
 
 /// Maps each e2LD of a non-merged record to the smallest claiming ledger
-/// id (records scanned in id order). Interning here is idempotent: every
-/// status domain came from an ingested point, so the arena never grows —
-/// but even if a caller fed foreign statuses, growth would only add
-/// unreferenced strings, never change an existing symbol.
+/// id (records scanned in id order). Against a tracker's arena interning
+/// here is idempotent: every status domain came from an ingested point,
+/// so the arena never grows; [`ReputationSnapshot::from_parts`] starts
+/// from an empty arena, which ends up holding exactly the status domains.
+/// Either way growth only adds strings, never changes an existing symbol.
 fn domain_map(arena: &SharedArena, statuses: &[CampaignStatus]) -> HashMap<Sym, u32> {
     let mut domains = HashMap::new();
     for s in statuses.iter().filter(|s| !matches!(s.state, seacma_tracker::LifeState::Merged)) {

@@ -12,15 +12,19 @@
 //!    from scratch over the tracker, and from the linear-scan oracle, at
 //!    every boundary of every epoch shape (empty, all-duplicate, one point
 //!    after a bulk epoch, resumed mid-epoch).
+//! 4. `dhash` queries are answered from the detector's escalated-radius
+//!    index cut at the clustering radius: with points planted exactly at,
+//!    one past, and at the far edge of the wider ball, the answer equals a
+//!    linear scan of the snapshot's columns at the base radius.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use seacma_daemon::offline::replay_batches;
-use seacma_daemon::{Daemon, ReputationSnapshot};
+use seacma_daemon::{CampaignStatus, Daemon, DhashMatch, ReputationSnapshot};
 use seacma_detect::oracle::linear_verdict;
-use seacma_detect::{PageObservation, PageSignals};
-use seacma_tracker::{LedgerConfig, TrackerConfig};
+use seacma_detect::{DetectorConfig, PageObservation, PageSignals};
+use seacma_tracker::{LedgerConfig, LifeState, TrackerConfig};
 use seacma_util::prop::Rng;
 use seacma_util::{forall, json};
 use seacma_vision::cluster::ScreenshotPoint;
@@ -373,6 +377,69 @@ fn carried_forward_detector_equals_scratch_build_at_every_boundary() {
             }
             let at = format!("epoch {e} boundary");
             assert_served_is_scratch_built(&daemon, &pool, &urls, &hashes, &at);
+        }
+    });
+}
+
+/// `h` with exactly `d` distinct bits flipped.
+fn at_distance(rng: &mut Rng, h: u128, d: u32) -> Dhash {
+    let mut mask = 0u128;
+    while mask.count_ones() < d {
+        mask |= 1u128 << rng.below(128);
+    }
+    Dhash(h ^ mask)
+}
+
+#[test]
+fn nearest_campaign_cuts_the_wider_probe_at_the_base_radius() {
+    forall!(40, |rng| {
+        let eps = *rng.pick(&[0.05, 0.1, 0.2]);
+        let config = DetectorConfig::for_eps(eps);
+        let (base, escalated) = (config.base_radius(), config.escalated_radius());
+        // Ledger ids 0 and 2 are θc-qualified, 1 is tracked but not: the
+        // detector's column drops it, `nearest_campaign`'s keeps it.
+        let status = |id: u32| CampaignStatus {
+            id,
+            state: LifeState::Active,
+            qualified: id != 1,
+            members: 1,
+            domains: vec![format!("c{id}.club")],
+            birth_epoch: 0,
+            last_growth_epoch: 0,
+        };
+        // Around one centre: points exactly at the base radius, one bit
+        // either side of it, at the escalated radius and one past that; a
+        // random share unassigned, the rest spread over the three ids,
+        // noise between. Whether the nearest *assigned* point sits inside
+        // the cut, in the band past it, or nowhere varies case to case.
+        let centre = rng.u128();
+        let (mut points, mut assignments) = (Vec::new(), Vec::new());
+        for d in [base.saturating_sub(1), base, base + 1, escalated, escalated + 1] {
+            for _ in 0..rng.range(0, 4) {
+                let noise = rng.bool(0.25);
+                let h = if noise { Dhash(rng.u128()) } else { at_distance(rng, centre, d) };
+                points.push(ScreenshotPoint::new(h, "planted.club"));
+                assignments.push(rng.bool(0.7).then(|| rng.below(3) as u32));
+            }
+        }
+        let statuses = (0..3).map(status).collect();
+        let snap = ReputationSnapshot::from_parts(1, points, assignments.clone(), statuses, eps);
+        assert_eq!(snap.detector().config(), &config);
+        assert_eq!(snap.resident_points(), assignments.len());
+
+        let hashes = snap.detector().hashes();
+        let mut probes = vec![Dhash(centre), at_distance(rng, centre, 1), Dhash(rng.u128())];
+        probes.extend(hashes);
+        for h in probes {
+            let want = (0..hashes.len())
+                .filter_map(|q| assignments[q].map(|id| ((h.0 ^ hashes[q].0).count_ones(), q, id)))
+                .filter(|&(d, _, _)| d <= base)
+                .min_by_key(|&(d, q, _)| (d, q))
+                .map(|(distance, _, id)| {
+                    let s = status(id);
+                    DhashMatch { campaign: id, distance, state: s.state, qualified: s.qualified }
+                });
+            assert_eq!(snap.nearest_campaign(h), want, "eps {eps}, probe {h:?}");
         }
     });
 }

@@ -256,7 +256,9 @@ impl Detector {
         // One escalated-radius probe answers stages 1 and 2 together (see
         // module docs): the classifying threshold is applied to the single
         // minimum afterwards, not baked into the candidate sweep.
-        if let Some((campaign, distance)) = self.nearest_assigned(obs.dhash, scratch) {
+        if let Some((campaign, distance)) =
+            self.nearest_assigned(obs.dhash, &self.assignments, self.index.radius(), scratch)
+        {
             return if distance <= self.config.base_radius() {
                 Verdict::Campaign { campaign, distance, score }
             } else {
@@ -270,16 +272,27 @@ impl Detector {
         }
     }
 
-    /// Nearest campaign-assigned point within the escalated radius, as
-    /// `(campaign id, distance)`. Ties break by `(distance, point index)`
-    /// exactly like the oracle's full scan, so both implementations pick
-    /// the same point — not merely the same distance.
-    fn nearest_assigned(&self, h: Dhash, scratch: &mut Vec<usize>) -> Option<(u32, u32)> {
-        self.index.neighbours_of_hash(h, scratch);
+    /// The nearest indexed point within `radius` bits of `h` that
+    /// `assignments` gives a campaign, as `(campaign id, distance)`.
+    /// `assignments` is parallel to [`Detector::hashes`] — the detector's
+    /// own θc-qualified column for a verdict, or a caller's (the daemon
+    /// snapshot's full ledger column, for `dhash` queries); `radius` is
+    /// clamped to the escalated radius the index was built for. Ties break
+    /// by `(distance, point index)` exactly like the oracle's full scan, so
+    /// both implementations pick the same point — not merely the same
+    /// distance.
+    pub fn nearest_assigned(
+        &self,
+        h: Dhash,
+        assignments: &[Option<u32>],
+        radius: u32,
+        scratch: &mut Vec<usize>,
+    ) -> Option<(u32, u32)> {
+        self.index.neighbours_within(h, radius, scratch);
         scratch
             .iter()
             .filter_map(|&q| {
-                self.assignments[q].map(|id| ((h.0 ^ self.index.hashes()[q].0).count_ones(), q, id))
+                assignments[q].map(|id| ((h.0 ^ self.index.hashes()[q].0).count_ones(), q, id))
             })
             .min_by_key(|&(d, q, _)| (d, q))
             .map(|(d, _, id)| (id, d))

@@ -268,7 +268,7 @@ impl ReportInputs {
 ///   `seacma-benchmark/results/1`, written by `benchmark/run.sh`) → one
 ///   point per workload × end-to-end metric in file order, carrying the
 ///   metric's unit and its median over the runs;
-/// * `EVAL_detect.json` (written by `detect_eval --json`) → one
+/// * `EVAL_detect.json` (written by `seacma eval --out`) → one
 ///   `precision` and one `recall` point per split, series
 ///   [`DETECT_SERIES`].
 ///

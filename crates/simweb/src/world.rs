@@ -73,6 +73,18 @@ enum Confounder {
     Shortener { service: u16 },
 }
 
+/// The hosting handler a URL belongs to (see `World::route`).
+enum Route {
+    Publisher(PublisherId),
+    AdClick(AdNetworkId),
+    Tds(CampaignId),
+    Attack(CampaignId),
+    Exchange,
+    Advertiser(u32),
+    Confounder(Confounder),
+    Unknown,
+}
+
 /// Number of distinct parking-provider layouts (the paper found 11 parked
 /// clusters).
 pub const PARKED_PROVIDERS: u16 = 11;
@@ -425,41 +437,50 @@ impl World {
         s
     }
 
+    /// Which hosting handler answers `url`: the lookup order every fetch
+    /// variant shares (a host can sit in one map only, but an attack page
+    /// is found by its *path*, so the order is part of the answer).
+    fn route(&self, url: &Url) -> Route {
+        if let Some(&pid) = self.pub_by_domain.get(&url.host) {
+            Route::Publisher(pid)
+        } else if let Some(&nid) = self.net_by_code_domain.get(&url.host) {
+            Route::AdClick(nid)
+        } else if let Some(&cid) = self.campaign_by_tds.get(&url.host) {
+            Route::Tds(cid)
+        } else if let Some(&cid) = self.campaign_by_landing.get(&url.path) {
+            Route::Attack(cid)
+        } else if self.exchange_domains.contains(&url.host) {
+            Route::Exchange
+        } else if let Some(&adv) = self.advertiser_by_domain.get(&url.host) {
+            Route::Advertiser(adv)
+        } else if let Some(&conf) = self.confounder_by_domain.get(&url.host) {
+            Route::Confounder(conf)
+        } else {
+            Route::Unknown
+        }
+    }
+
     /// Resolves one hop of `url` for `client` at time `t`.
     pub fn fetch(&self, url: &Url, client: &ClientProfile, t: SimTime) -> HostResponse {
         // Transient blank loads (spurious-cluster source) can hit any
         // document fetch.
-        let uw = url.det_word();
-        if det_bool(&[self.seed(), 0xE44, uw, t.minutes() / 30], self.config.error_rate) {
+        if self.transient_error(url, t) {
             return HostResponse::Page(Box::new(Page::bare(
                 url.clone(),
                 "",
                 VisualTemplate::LoadError,
             )));
         }
-
-        if let Some(&pid) = self.pub_by_domain.get(&url.host) {
-            return self.serve_publisher(pid, url, client, t);
+        match self.route(url) {
+            Route::Publisher(pid) => self.serve_publisher(pid, url, client, t),
+            Route::AdClick(nid) => self.serve_ad_click(nid, url, client, t),
+            Route::Tds(cid) => self.serve_tds(cid, url, client, t),
+            Route::Attack(cid) => self.serve_attack(cid, url, client, t),
+            Route::Exchange => self.serve_exchange(url, client, t),
+            Route::Advertiser(adv) => self.serve_advertiser(adv, url),
+            Route::Confounder(conf) => self.serve_confounder(conf, url),
+            Route::Unknown => HostResponse::NxDomain,
         }
-        if let Some(&nid) = self.net_by_code_domain.get(&url.host) {
-            return self.serve_ad_click(nid, url, client, t);
-        }
-        if let Some(&cid) = self.campaign_by_tds.get(&url.host) {
-            return self.serve_tds(cid, url, client, t);
-        }
-        if let Some(&cid) = self.campaign_by_landing.get(&url.path) {
-            return self.serve_attack(cid, url, client, t);
-        }
-        if self.exchange_domains.contains(&url.host) {
-            return self.serve_exchange(url, client, t);
-        }
-        if let Some(&adv) = self.advertiser_by_domain.get(&url.host) {
-            return self.serve_advertiser(adv, url);
-        }
-        if let Some(&conf) = self.confounder_by_domain.get(&url.host) {
-            return self.serve_confounder(conf, url);
-        }
-        HostResponse::NxDomain
     }
 
     /// Resolves one hop of `url` like [`fetch`](Self::fetch) with the
@@ -534,34 +555,33 @@ impl World {
         t: SimTime,
     ) -> (LiteResponse, SimTime) {
         const FOREVER: SimTime = SimTime(u64::MAX);
-        let (resp, selector_h) = if self.pub_by_domain.contains_key(&url.host) {
-            (LiteResponse::Doc, FOREVER)
-        } else if let Some(&nid) = self.net_by_code_domain.get(&url.host) {
-            // Ad clicks only ever redirect or refuse; no body to elide.
-            // Inventory rotates on 2-hour buckets (`t/120` in the serving
-            // draws), so the redirect choice holds until the next one.
-            let bucket_h = SimTime((t.minutes() / 120 + 1) * 120);
-            (LiteResponse::of(&self.serve_ad_click(nid, url, client, t)), bucket_h)
-        } else if let Some(&cid) = self.campaign_by_tds.get(&url.host) {
-            (LiteResponse::of(&self.serve_tds(cid, url, client, t)), FOREVER)
-        } else if let Some(&cid) = self.campaign_by_landing.get(&url.path) {
-            // Live or parked epochs both serve a document (attack page or
-            // registrar parking page); only a fully expired domain NXes.
-            // Either way the verdict can only flip at an epoch boundary.
-            let c = self.campaign(cid);
-            let resp = match Self::attack_epoch_match(c, self.seed(), &url.host, t) {
-                Some(_) => LiteResponse::Doc,
-                None => LiteResponse::NxDomain,
-            };
-            (resp, c.epoch_start(c.epoch(t) + 1))
-        } else if self.exchange_domains.contains(&url.host) {
-            (LiteResponse::of(&self.serve_exchange(url, client, t)), FOREVER)
-        } else if self.advertiser_by_domain.contains_key(&url.host)
-            || self.confounder_by_domain.contains_key(&url.host)
-        {
-            (LiteResponse::Doc, FOREVER)
-        } else {
-            (LiteResponse::NxDomain, FOREVER)
+        let (resp, selector_h) = match self.route(url) {
+            Route::Publisher(_) | Route::Advertiser(_) | Route::Confounder(_) => {
+                (LiteResponse::Doc, FOREVER)
+            }
+            Route::AdClick(nid) => {
+                // Ad clicks only ever redirect or refuse; no body to elide.
+                // Inventory rotates on 2-hour buckets (`t/120` in the
+                // serving draws), so the redirect choice holds until the
+                // next one.
+                let bucket_h = SimTime((t.minutes() / 120 + 1) * 120);
+                (LiteResponse::of(&self.serve_ad_click(nid, url, client, t)), bucket_h)
+            }
+            Route::Tds(cid) => (LiteResponse::of(&self.serve_tds(cid, url, client, t)), FOREVER),
+            Route::Attack(cid) => {
+                // Live or parked epochs both serve a document (attack page
+                // or registrar parking page); only a fully expired domain
+                // NXes. Either way the verdict can only flip at an epoch
+                // boundary.
+                let c = self.campaign(cid);
+                let resp = match Self::attack_epoch_match(c, self.seed(), &url.host, t) {
+                    Some(_) => LiteResponse::Doc,
+                    None => LiteResponse::NxDomain,
+                };
+                (resp, c.epoch_start(c.epoch(t) + 1))
+            }
+            Route::Exchange => (LiteResponse::of(&self.serve_exchange(url, client, t)), FOREVER),
+            Route::Unknown => (LiteResponse::NxDomain, FOREVER),
         };
 
         // A redirect into a campaign's rotating landing path (from the

@@ -183,14 +183,6 @@ impl IncrementalClusterer {
         &self.e2lds
     }
 
-    /// The live Hamming index over the unique points' hashes. The daemon's
-    /// snapshot clones this instead of rebuilding (incremental insertion
-    /// produces a structure identical to a fresh build over the same
-    /// hashes).
-    pub fn hamming_index(&self) -> &HammingIndex {
-        &self.index
-    }
-
     /// Original indices carried by each unique point.
     pub fn originals(&self) -> &[Vec<u32>] {
         &self.originals
@@ -395,8 +387,10 @@ impl IncrementalClusterer {
     /// The state is outside input: every column is checked against the
     /// invariants the label sweep and the insert path index by (column
     /// lengths, parents that are roots, in-range core neighbours,
-    /// `core ⇔ count ≥ min_pts`, ascending originals) before anything is
-    /// built, so a corrupt snapshot is an `Err` here, never a later panic.
+    /// `core ⇔ count ≥ min_pts`, ascending and disjoint originals, no
+    /// `(dhash, e2LD)` pair listed twice) before anything is returned, so
+    /// a corrupt snapshot is an `Err` here, never a later panic or a
+    /// silently frozen multiplicity.
     /// Snapshots written before the border-only bookkeeping carry full
     /// neighbour counts and core-neighbour lists on core points too; both
     /// are normalised (counts clamped to `min_pts`, core points' lists
@@ -419,7 +413,13 @@ impl IncrementalClusterer {
         for (u, p) in state.points.iter().enumerate() {
             let sym = arena.intern(&p.e2ld);
             e2lds.push(sym);
-            pair_index.insert((p.dhash.0, sym), u as u32);
+            if let Some(first) = pair_index.insert((p.dhash.0, sym), u as u32) {
+                // Two slots for one pair: every later duplicate would land
+                // in the second and the first's multiplicity would freeze.
+                return Err(JsonError::msg(format!(
+                    "clusterer points {first} and {u} are the same (dhash, e2LD) pair"
+                )));
+            }
         }
         Ok(Self {
             params: state.params,
@@ -469,7 +469,8 @@ impl ClustererState {
     /// `u`'s component root (no larger than `u`, itself a root);
     /// `core[u]` holds exactly when `neighbor_count[u]` reached `min_pts`;
     /// every `core_neighbors` entry names a core point; `originals` are
-    /// non-empty, ascending and below `n_original`.
+    /// non-empty, ascending and below `n_original`, and no original index
+    /// is claimed by two points.
     fn validate(&self) -> Result<(), JsonError> {
         let n = self.points.len();
         let columns = [
@@ -507,6 +508,11 @@ impl ClustererState {
             {
                 return bad(u, "originals are not non-empty, ascending and below n_original");
             }
+        }
+        let mut claimed: Vec<u32> = self.originals.iter().flatten().copied().collect();
+        claimed.sort_unstable();
+        if let Some(w) = claimed.windows(2).find(|w| w[0] == w[1]) {
+            return Err(JsonError::msg(format!("two clusterer points claim original {}", w[0])));
         }
         Ok(())
     }

@@ -10,7 +10,6 @@ use seacma_util::sym::{SharedArena, Sym};
 use seacma_vision::cluster::{ClusterParams, ScreenshotClusters, ScreenshotPoint};
 use seacma_vision::dbscan::Label;
 use seacma_vision::dhash::Dhash;
-use seacma_vision::index::HammingIndex;
 
 use crate::incremental::{ClustererState, IncrementalClusterer};
 use crate::ledger::{CampaignLedger, LedgerConfig, LedgerEvent, LedgerState, ObservedCluster};
@@ -120,8 +119,7 @@ impl CampaignTracker {
     /// [`assignments`](CampaignLedger::assignments) index into.
     /// Materialized from the hot columns on demand; the daemon's snapshot
     /// path uses the column accessors ([`CampaignTracker::dhashes`],
-    /// [`CampaignTracker::e2ld_syms`], [`CampaignTracker::hamming_index`])
-    /// instead.
+    /// [`CampaignTracker::e2ld_syms`]) instead.
     pub fn unique_points(&self) -> Vec<ScreenshotPoint> {
         self.clusterer.unique_points()
     }
@@ -150,12 +148,6 @@ impl CampaignTracker {
     /// parallel column, stamped at ingest time.
     pub fn first_epochs(&self) -> &[u32] {
         &self.first_epoch
-    }
-
-    /// The live Hamming index over the unique points (cloneable for
-    /// snapshot publication — no rebuild needed).
-    pub fn hamming_index(&self) -> &HammingIndex {
-        self.clusterer.hamming_index()
     }
 
     /// Feeds one screenshot point into the current epoch.

@@ -316,7 +316,8 @@ fn corrupt_snapshots_are_errors_not_panics() {
     let uint = |v: u32| Value::UInt(u128::from(v));
     let set = |path: &[&str], at: usize, v: Value| with_array_edited(base, path, |a| a[at] = v);
     // In the fixture: point 0 is a core root, 4 and 5 hang under it, 3 is
-    // noise, 9 is a border whose one core neighbour is 0; 30 originals.
+    // noise, 9 is a border whose one core neighbour is 0; 30 originals,
+    // of which point 4 holds 4 and 25.
     let mut hostile: Vec<(String, String)> = vec![
         ("parent out of range".into(), set(&["clusterer", "parent"], 0, uint(999_999))),
         ("parent above the point".into(), set(&["clusterer", "parent"], 1, uint(5))),
@@ -339,6 +340,14 @@ fn corrupt_snapshots_are_errors_not_panics() {
         (
             "original beyond n_original".into(),
             set(&["clusterer", "originals"], 0, Value::Arr(vec![uint(30)])),
+        ),
+        (
+            "two points claim one original index".into(),
+            set(&["clusterer", "originals"], 5, Value::Arr(vec![uint(25)])),
+        ),
+        (
+            "one (dhash, e2LD) pair listed twice".into(),
+            with_array_edited(base, &["clusterer", "points"], |a| a[1] = a[0].clone()),
         ),
         ("assignment to a missing record".into(), set(&["ledger", "assign"], 0, uint(77))),
         (

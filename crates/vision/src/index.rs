@@ -164,8 +164,8 @@ impl HammingIndex {
 
     /// The indexed hashes as one contiguous column, in point-index order.
     /// This is the struct-of-arrays dhash column the incremental tracker
-    /// and the daemon's reputation snapshot scan directly, instead of
-    /// keeping their own copy of every hash inside point structs.
+    /// and the online detector scan directly, instead of keeping their
+    /// own copy of every hash inside point structs.
     pub fn hashes(&self) -> &[Dhash] {
         &self.hashes
     }
@@ -198,14 +198,28 @@ impl HammingIndex {
     /// For an indexed `p`, `neighbours_of_hash(hash_of(p))` equals
     /// [`HammingIndex::neighbours_into`]`(p)` — same set, same order.
     pub fn neighbours_of_hash(&self, h: Dhash, out: &mut Vec<usize>) {
+        self.neighbours_within(h, self.radius, out);
+    }
+
+    /// [`HammingIndex::neighbours_of_hash`] for a **smaller** ball: the
+    /// ascending indices of every indexed point within `radius` bits of
+    /// `h`, with `radius` clamped to the index's own. Bands laid out for
+    /// the wider radius are a complete pigeonhole superset of any smaller
+    /// ball — any `radius + 1` of them are — so the answer is exact, only
+    /// that many buckets are visited, and a candidate outside `radius` is
+    /// dropped at its popcount rather than emitted and filtered by the
+    /// caller: how one escalated-radius index also answers the clustering
+    /// radius.
+    pub fn neighbours_within(&self, h: Dhash, radius: u32, out: &mut Vec<usize>) {
+        let radius = radius.min(self.radius);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("popcnt") {
             // SAFETY: `scan_popcnt` requires only that the running CPU
             // implements `popcnt`, which the CPUID-backed detection macro
             // on the line above has just reported.
-            return unsafe { self.scan_popcnt(h, out) };
+            return unsafe { self.scan_popcnt(h, radius, out) };
         }
-        self.scan(h, out);
+        self.scan(h, radius, out);
     }
 
     /// [`HammingIndex::scan`] compiled with the `popcnt` instruction, so
@@ -218,18 +232,20 @@ impl HammingIndex {
     /// The running CPU must implement `popcnt`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "popcnt")]
-    unsafe fn scan_popcnt(&self, h: Dhash, out: &mut Vec<usize>) {
-        self.scan(h, out);
+    unsafe fn scan_popcnt(&self, h: Dhash, radius: u32, out: &mut Vec<usize>) {
+        self.scan(h, radius, out);
     }
 
-    /// The one region-scan body behind [`HammingIndex::neighbours_of_hash`].
-    /// `#[inline(always)]` so each caller compiles its own copy under its
-    /// own target features: the portable one, and
+    /// The one region-scan body behind [`HammingIndex::neighbours_within`];
+    /// `radius` must not exceed the index's own (the bands are complete
+    /// only up to it). `#[inline(always)]` so each caller compiles its own
+    /// copy under its own target features: the portable one, and
     /// [`HammingIndex::scan_popcnt`]'s.
     #[inline(always)]
-    fn scan(&self, h: Dhash, out: &mut Vec<usize>) {
+    fn scan(&self, h: Dhash, radius: u32, out: &mut Vec<usize>) {
+        debug_assert!(radius <= self.radius);
         out.clear();
-        if self.radius >= HASH_BITS {
+        if radius >= HASH_BITS {
             out.extend(0..self.hashes.len());
             return;
         }
@@ -238,11 +254,15 @@ impl HammingIndex {
         // neighbour matching band j also matches no earlier band iff the
         // diff word intersects bands 0..j), so each appears exactly once
         // and the final sort is over true neighbours, not candidates.
-        for (j, band) in self.bands.iter().enumerate() {
+        // Any `radius + 1` bands are a complete candidate set for this
+        // ball (at most `radius` of them can hold a differing bit), so a
+        // ball narrower than the index's probes only the first that many
+        // — the widest ones, see `band_layout`.
+        for (j, band) in self.bands.iter().take(radius as usize + 1).enumerate() {
             if let Some(bucket) = band.buckets.get(&band.value_of(h)) {
                 'candidates: for &q in bucket {
                     let diff = h.0 ^ self.hashes[q as usize].0;
-                    if diff.count_ones() > self.radius {
+                    if diff.count_ones() > radius {
                         continue;
                     }
                     for earlier in &self.bands[..j] {
@@ -321,24 +341,47 @@ mod tests {
     fn neighbours_match_brute_force() {
         use seacma_util::prop::Rng;
         let mut rng = Rng::new(0xB4BD);
-        // Mixed corpus: random noise plus a planted near-duplicate cluster.
+        // Mixed corpus: random noise, a planted near-duplicate cluster, and
+        // a ladder at every distance 3..=28 from the cluster's centre, so
+        // each radius below has points just inside and just outside it.
         let mut hashes: Vec<Dhash> = (0..60).map(|_| Dhash(rng.u128())).collect();
         let base = rng.u128();
         for i in 0..20 {
             hashes.push(Dhash(base ^ (1u128 << (i % 7))));
         }
+        for k in 3..=28 {
+            hashes.push(Dhash(base ^ ((1u128 << k) - 1).rotate_left(5 * k)));
+        }
         // The public query runs whichever `scan` instantiation the CPU
         // selects; driving the portable body directly keeps it covered on
-        // machines that report `popcnt`.
+        // machines that report `popcnt`. Every ball up to the index's own
+        // radius is answered from the same bands.
         for eps in [0.0, 0.05, 0.1, 0.2] {
             let index = HammingIndex::build(&hashes, eps);
             let (mut out, mut portable) = (Vec::new(), Vec::new());
             for p in 0..hashes.len() {
-                let want = brute(&hashes, p, index.radius());
+                for r in 0..=index.radius() {
+                    let want = brute(&hashes, p, r);
+                    index.neighbours_within(hashes[p], r, &mut out);
+                    assert_eq!(out, want, "dispatched, p={p} eps={eps} r={r}");
+                    index.scan(hashes[p], r, &mut portable);
+                    assert_eq!(portable, want, "portable scan, p={p} eps={eps} r={r}");
+                }
+                // The pigeonhole's tight case: `r` differing bits, one in
+                // each of the first `r` bands, so only band `r` still agrees.
+                for r in 1..=index.radius() {
+                    let firsts = &index.bands[..r as usize];
+                    let probe = Dhash(firsts.iter().fold(hashes[p].0, |h, b| h ^ 1 << b.shift));
+                    let want: Vec<usize> =
+                        (0..hashes.len()).filter(|&q| hamming(probe, hashes[q]) <= r).collect();
+                    assert!(want.contains(&p));
+                    index.neighbours_within(probe, r, &mut out);
+                    assert_eq!(out, want, "one flip per band, p={p} eps={eps} r={r}");
+                }
                 index.neighbours_of_hash(hashes[p], &mut out);
-                assert_eq!(out, want, "dispatched, p={p} eps={eps}");
-                index.scan(hashes[p], &mut portable);
-                assert_eq!(portable, want, "portable scan, p={p} eps={eps}");
+                assert_eq!(out, portable, "own radius, p={p} eps={eps}");
+                index.neighbours_within(hashes[p], index.radius() + 9, &mut out);
+                assert_eq!(out, portable, "a wider request is clamped, p={p} eps={eps}");
             }
         }
     }

@@ -4,9 +4,9 @@
 # with zero registry access; if it doesn't, a crate grew a non-path dep.
 set -eu
 cd "$(dirname "$0")/.."
-# Three front ends — seacma, seacmad, detect_eval. A new experiment is a
-# seacma-report Analysis (and lands in the golden below), not a binary.
-[ "$(ls crates/*/src/bin/*.rs | wc -l)" -eq 3 ]
+# Two front ends — seacma, seacmad. A new experiment is a seacma-report
+# Analysis (and lands in the golden below), not a binary.
+[ "$(ls crates/*/src/bin/*.rs | wc -l)" -eq 2 ]
 cargo build --release --offline
 cargo test -q --offline
 # Benchmark smoke: every workload of BENCHMARK.json at reduced size with
@@ -150,6 +150,15 @@ done
 seacma report --publishers 0 >/dev/null
 echo "report smoke: text equals REPORT_seed42.txt, two HTML runs byte-identical with all" \
     "$(echo "$ids" | wc -l) sections, --publishers 0 exits 0"
+
+# Detection-quality golden: the held-out precision/recall eval on its
+# fixed world must reproduce the checked-in EVAL_detect.json byte for
+# byte, so a change that moves a verdict cannot drift it unnoticed.
+# Regenerate after an intended change with
+#   cargo run --release -p seacma-bench --bin seacma -- eval --out EVAL_detect.json
+seacma eval --out "$r1" >/dev/null
+diff EVAL_detect.json "$r1"
+echo "eval golden: seacma eval reproduces EVAL_detect.json"
 
 # The rustdoc gate: the public API documents warning-free (intra-doc
 # links resolve, seacma-report's #![deny(missing_docs)] holds).
