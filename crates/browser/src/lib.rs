@@ -32,7 +32,7 @@ pub mod quiet;
 pub mod render_cache;
 pub mod session;
 
-pub use log::{BrowserEvent, EventLog, EventRef, NavCause};
+pub use log::{EventLog, EventRef, NavCause};
 pub use quiet::QuietBrowser;
 pub use render_cache::RenderCache;
 pub use session::{

@@ -15,13 +15,10 @@
 //! (title, API name) is interned into a per-log [`Interner`] and events
 //! carry dense `u32` ids. Appending an event whose strings were already
 //! seen allocates nothing; each distinct URL is cloned exactly once per
-//! log. The owned [`BrowserEvent`] form remains the construction and JSON
-//! currency ([`EventLog::push`] accepts it, serialization round-trips
-//! through it), while readers iterate borrowed [`EventRef`]s.
+//! log. Writers use the typed appenders ([`EventLog::redirected`], …);
+//! readers iterate borrowed [`EventRef`]s.
 
-use seacma_util::json::{FromJson, JsonError, ToJson, Value};
 use seacma_util::sym::Interner;
-use seacma_util::impl_json_enum;
 
 use seacma_simweb::{FilePayload, LockTactic, RedirectKind, Url};
 
@@ -36,83 +33,6 @@ pub enum NavCause {
     Redirect(RedirectKind),
     /// `window.open` from another tab.
     WindowOpen,
-}
-
-/// One instrumented browser event, in owned form.
-///
-/// This is the construction and serialization currency; inside an
-/// [`EventLog`] events live in a compact interned form and are read back
-/// as [`EventRef`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BrowserEvent {
-    /// A navigation began toward `url`.
-    NavigationStart {
-        /// Navigation target.
-        url: Url,
-        /// What initiated it.
-        cause: NavCause,
-        /// URL of the document that initiated it, when any.
-        initiator: Option<Url>,
-    },
-    /// A document finished loading.
-    PageLoaded {
-        /// Final URL of the document.
-        url: Url,
-        /// Document title.
-        title: String,
-    },
-    /// The browser followed a redirect hop.
-    Redirected {
-        /// Source URL.
-        from: Url,
-        /// Target URL.
-        to: Url,
-        /// Mechanism (HTTP, meta refresh, JS…).
-        kind: RedirectKind,
-    },
-    /// A document included a script.
-    ScriptLoaded {
-        /// Document URL.
-        page: Url,
-        /// Script source URL.
-        src: Url,
-    },
-    /// A monitored JS API was invoked (the Blink–JS binding
-    /// instrumentation logs *all* of them; we record the security-relevant
-    /// subset the analyses consume).
-    JsApiCall {
-        /// Document URL.
-        page: Url,
-        /// API name, e.g. `window.alert`, `window.onbeforeunload`.
-        api: String,
-    },
-    /// A page-locking tactic fired and was neutralized by the browser
-    /// instrumentation.
-    LockBypassed {
-        /// Document URL.
-        page: Url,
-        /// The tactic bypassed.
-        tactic: LockTactic,
-    },
-    /// A new tab opened.
-    TabOpened {
-        /// URL of the opener document.
-        opener: Url,
-        /// Initial URL of the new tab.
-        url: Url,
-    },
-    /// Interaction triggered a file download.
-    DownloadTriggered {
-        /// Document URL.
-        page: Url,
-        /// The downloaded payload.
-        payload: FilePayload,
-    },
-    /// The page requested push-notification permission.
-    NotificationPrompt {
-        /// Document URL.
-        page: Url,
-    },
 }
 
 /// One event as stored: URLs and strings are dense ids into the owning
@@ -133,8 +53,8 @@ enum CompactEvent {
 
 /// One instrumented browser event, borrowed out of an [`EventLog`].
 ///
-/// Mirrors [`BrowserEvent`] variant for variant with URL/string fields
-/// borrowed from the log's interners; copyable scalars are by value.
+/// URL/string fields are borrowed from the log's interners; copyable
+/// scalars are by value. This is the log's one public event type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventRef<'l> {
     /// A navigation began toward `url`.
@@ -169,14 +89,17 @@ pub enum EventRef<'l> {
         /// Script source URL.
         src: &'l Url,
     },
-    /// A monitored JS API was invoked.
+    /// A monitored JS API was invoked (the Blink–JS binding
+    /// instrumentation logs *all* of them; we record the security-relevant
+    /// subset the analyses consume).
     JsApiCall {
         /// Document URL.
         page: &'l Url,
         /// API name.
         api: &'l str,
     },
-    /// A page-locking tactic fired and was neutralized.
+    /// A page-locking tactic fired and was neutralized by the browser
+    /// instrumentation.
     LockBypassed {
         /// Document URL.
         page: &'l Url,
@@ -202,43 +125,6 @@ pub enum EventRef<'l> {
         /// Document URL.
         page: &'l Url,
     },
-}
-
-impl EventRef<'_> {
-    /// The owned form of this event (allocates; used by serialization).
-    pub fn to_owned(&self) -> BrowserEvent {
-        match *self {
-            EventRef::NavigationStart { url, cause, initiator } => BrowserEvent::NavigationStart {
-                url: url.clone(),
-                cause,
-                initiator: initiator.cloned(),
-            },
-            EventRef::PageLoaded { url, title } => {
-                BrowserEvent::PageLoaded { url: url.clone(), title: title.to_string() }
-            }
-            EventRef::Redirected { from, to, kind } => {
-                BrowserEvent::Redirected { from: from.clone(), to: to.clone(), kind }
-            }
-            EventRef::ScriptLoaded { page, src } => {
-                BrowserEvent::ScriptLoaded { page: page.clone(), src: src.clone() }
-            }
-            EventRef::JsApiCall { page, api } => {
-                BrowserEvent::JsApiCall { page: page.clone(), api: api.to_string() }
-            }
-            EventRef::LockBypassed { page, tactic } => {
-                BrowserEvent::LockBypassed { page: page.clone(), tactic }
-            }
-            EventRef::TabOpened { opener, url } => {
-                BrowserEvent::TabOpened { opener: opener.clone(), url: url.clone() }
-            }
-            EventRef::DownloadTriggered { page, payload } => {
-                BrowserEvent::DownloadTriggered { page: page.clone(), payload }
-            }
-            EventRef::NotificationPrompt { page } => {
-                BrowserEvent::NotificationPrompt { page: page.clone() }
-            }
-        }
-    }
 }
 
 /// An append-only event log for one browsing session.
@@ -276,82 +162,61 @@ impl EventLog {
         self.strs.resolve(id)
     }
 
-    /// Appends an owned event (test/replay convenience; the session's hot
-    /// path uses the by-reference appenders below, which never clone an
-    /// already-seen URL).
-    pub fn push(&mut self, e: BrowserEvent) {
-        match e {
-            BrowserEvent::NavigationStart { url, cause, initiator } => {
-                self.navigation_start(&url, cause, initiator.as_ref());
-            }
-            BrowserEvent::PageLoaded { url, title } => self.page_loaded(&url, &title),
-            BrowserEvent::Redirected { from, to, kind } => self.redirected(&from, &to, kind),
-            BrowserEvent::ScriptLoaded { page, src } => self.script_loaded(&page, &src),
-            BrowserEvent::JsApiCall { page, api } => self.js_api_call(&page, &api),
-            BrowserEvent::LockBypassed { page, tactic } => self.lock_bypassed(&page, tactic),
-            BrowserEvent::TabOpened { opener, url } => self.tab_opened(&opener, &url),
-            BrowserEvent::DownloadTriggered { page, payload } => {
-                self.download_triggered(&page, payload);
-            }
-            BrowserEvent::NotificationPrompt { page } => self.notification_prompt(&page),
-        }
-    }
-
-    /// Records a [`BrowserEvent::NavigationStart`].
+    /// Records an [`EventRef::NavigationStart`].
     pub fn navigation_start(&mut self, url: &Url, cause: NavCause, initiator: Option<&Url>) {
         let url = self.urls.intern(url);
         let initiator = initiator.map(|i| self.urls.intern(i));
         self.events.push(CompactEvent::NavigationStart { url, cause, initiator });
     }
 
-    /// Records a [`BrowserEvent::PageLoaded`].
+    /// Records an [`EventRef::PageLoaded`].
     pub fn page_loaded(&mut self, url: &Url, title: &str) {
         let url = self.urls.intern(url);
         let title = self.strs.intern(title);
         self.events.push(CompactEvent::PageLoaded { url, title });
     }
 
-    /// Records a [`BrowserEvent::Redirected`].
+    /// Records an [`EventRef::Redirected`].
     pub fn redirected(&mut self, from: &Url, to: &Url, kind: RedirectKind) {
         let from = self.urls.intern(from);
         let to = self.urls.intern(to);
         self.events.push(CompactEvent::Redirected { from, to, kind });
     }
 
-    /// Records a [`BrowserEvent::ScriptLoaded`].
+    /// Records an [`EventRef::ScriptLoaded`].
     pub fn script_loaded(&mut self, page: &Url, src: &Url) {
         let page = self.urls.intern(page);
         let src = self.urls.intern(src);
         self.events.push(CompactEvent::ScriptLoaded { page, src });
     }
 
-    /// Records a [`BrowserEvent::JsApiCall`].
+    /// Records an [`EventRef::JsApiCall`].
     pub fn js_api_call(&mut self, page: &Url, api: &str) {
         let page = self.urls.intern(page);
         let api = self.strs.intern(api);
         self.events.push(CompactEvent::JsApiCall { page, api });
     }
 
-    /// Records a [`BrowserEvent::LockBypassed`].
+    /// Records an [`EventRef::LockBypassed`].
     pub fn lock_bypassed(&mut self, page: &Url, tactic: LockTactic) {
         let page = self.urls.intern(page);
         self.events.push(CompactEvent::LockBypassed { page, tactic });
     }
 
-    /// Records a [`BrowserEvent::TabOpened`].
+    /// Records an [`EventRef::TabOpened`].
     pub fn tab_opened(&mut self, opener: &Url, url: &Url) {
         let opener = self.urls.intern(opener);
         let url = self.urls.intern(url);
         self.events.push(CompactEvent::TabOpened { opener, url });
     }
 
-    /// Records a [`BrowserEvent::DownloadTriggered`].
+    /// Records an [`EventRef::DownloadTriggered`].
     pub fn download_triggered(&mut self, page: &Url, payload: FilePayload) {
         let page = self.urls.intern(page);
         self.events.push(CompactEvent::DownloadTriggered { page, payload });
     }
 
-    /// Records a [`BrowserEvent::NotificationPrompt`].
+    /// Records an [`EventRef::NotificationPrompt`].
     pub fn notification_prompt(&mut self, page: &Url) {
         let page = self.urls.intern(page);
         self.events.push(CompactEvent::NotificationPrompt { page });
@@ -470,12 +335,8 @@ mod tests {
     fn log_accumulates_in_order() {
         let mut log = EventLog::new();
         assert!(log.is_empty());
-        log.push(BrowserEvent::NavigationStart {
-            url: u("a.com"),
-            cause: NavCause::Initial,
-            initiator: None,
-        });
-        log.push(BrowserEvent::PageLoaded { url: u("a.com"), title: "A".into() });
+        log.navigation_start(&u("a.com"), NavCause::Initial, None);
+        log.page_loaded(&u("a.com"), "A");
         assert_eq!(log.len(), 2);
         assert_eq!(log.loaded_urls().count(), 1);
     }
@@ -483,116 +344,16 @@ mod tests {
     #[test]
     fn filtered_views() {
         let mut log = EventLog::new();
-        log.push(BrowserEvent::Redirected {
-            from: u("a.com"),
-            to: u("b.com"),
-            kind: RedirectKind::Http302,
-        });
-        log.push(BrowserEvent::Redirected {
-            from: u("b.com"),
-            to: u("c.club"),
-            kind: RedirectKind::JsLocation,
-        });
-        log.push(BrowserEvent::DownloadTriggered {
-            page: u("c.club"),
-            payload: FilePayload::serve(1, seacma_simweb::FileFormat::Pe, &[0]),
-        });
+        log.redirected(&u("a.com"), &u("b.com"), RedirectKind::Http302);
+        log.redirected(&u("b.com"), &u("c.club"), RedirectKind::JsLocation);
+        log.download_triggered(
+            &u("c.club"),
+            FilePayload::serve(1, seacma_simweb::FileFormat::Pe, &[0]),
+        );
         let hops: Vec<_> = log.redirects().collect();
         assert_eq!(hops.len(), 2);
         assert_eq!(hops[0].1.host, "b.com");
         assert!(!hops[0].2.is_http() || hops[0].2 == RedirectKind::Http302);
         assert_eq!(log.downloads().count(), 1);
-    }
-
-    #[test]
-    fn event_views_round_trip_owned_events() {
-        // push → events() → to_owned must reproduce the pushed sequence
-        // exactly, across every variant (interning is invisible to
-        // readers).
-        let pushed = vec![
-            BrowserEvent::NavigationStart {
-                url: u("a.com"),
-                cause: NavCause::Redirect(RedirectKind::MetaRefresh),
-                initiator: Some(u("b.com")),
-            },
-            BrowserEvent::PageLoaded { url: u("a.com"), title: "A".into() },
-            BrowserEvent::ScriptLoaded { page: u("a.com"), src: u("cdn.com") },
-            BrowserEvent::JsApiCall { page: u("a.com"), api: "window.alert".into() },
-            BrowserEvent::LockBypassed { page: u("a.com"), tactic: LockTactic::ModalDialogLoop },
-            BrowserEvent::TabOpened { opener: u("a.com"), url: u("c.club") },
-            BrowserEvent::DownloadTriggered {
-                page: u("c.club"),
-                payload: FilePayload::serve(1, seacma_simweb::FileFormat::Pe, &[0]),
-            },
-            BrowserEvent::NotificationPrompt { page: u("c.club") },
-        ];
-        let mut log = EventLog::new();
-        for e in &pushed {
-            log.push(e.clone());
-        }
-        let back: Vec<BrowserEvent> = log.events().map(|e| e.to_owned()).collect();
-        assert_eq!(back, pushed);
-        // Equality sees through interning order too.
-        let mut again = EventLog::new();
-        for e in &pushed {
-            again.push(e.clone());
-        }
-        assert_eq!(log, again);
-    }
-
-    #[test]
-    fn json_shape_is_the_owned_event_array() {
-        use seacma_util::json;
-        let mut log = EventLog::new();
-        log.push(BrowserEvent::PageLoaded { url: u("a.com"), title: "A".into() });
-        log.push(BrowserEvent::JsApiCall { page: u("a.com"), api: "window.alert".into() });
-        let text = json::to_string(&log);
-        let v = json::parse(&text).expect("log serializes to valid json");
-        assert!(v.get("events").is_some(), "external shape keeps the events field");
-        let back: EventLog = json::from_str(&text).expect("log parses back");
-        assert_eq!(back, log);
-    }
-}
-impl_json_enum!(NavCause {
-    Initial,
-    UserClick,
-    Redirect(RedirectKind),
-    WindowOpen,
-});
-impl_json_enum!(BrowserEvent {
-    NavigationStart { url: Url, cause: NavCause, initiator: Option<Url> },
-    PageLoaded { url: Url, title: String },
-    Redirected { from: Url, to: Url, kind: RedirectKind },
-    ScriptLoaded { page: Url, src: Url },
-    JsApiCall { page: Url, api: String },
-    LockBypassed { page: Url, tactic: LockTactic },
-    TabOpened { opener: Url, url: Url },
-    DownloadTriggered { page: Url, payload: FilePayload },
-    NotificationPrompt { page: Url },
-});
-
-// The JSON shape predates the compact storage and must stay stable: an
-// object holding the owned event array. Serialization materializes each
-// event; parsing re-interns them.
-impl ToJson for EventLog {
-    fn to_json(&self) -> Value {
-        let events: Vec<BrowserEvent> = self.events().map(|e| e.to_owned()).collect();
-        Value::Obj(vec![("events".to_string(), events.to_json())])
-    }
-}
-
-impl FromJson for EventLog {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        if v.as_object().is_none() {
-            return Err(JsonError::expected("object for EventLog", v));
-        }
-        let events: Vec<BrowserEvent> = FromJson::from_json(
-            v.get("events").ok_or_else(|| JsonError::missing_field("events"))?,
-        )?;
-        let mut log = EventLog::new();
-        for e in events {
-            log.push(e);
-        }
-        Ok(log)
     }
 }

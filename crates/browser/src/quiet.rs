@@ -113,27 +113,14 @@ impl<'w> QuietBrowser<'w> {
     /// Resolves where loading `url` at `t` would land — the final URL of
     /// the redirect chain — without synthesizing any document body (the
     /// `HEAD`-request view; see `World::fetch_lite`). Returns `Err` on
-    /// exactly the chains where [`load`](Self::load) would: `probe` and
-    /// `load` agree on the landing URL hop for hop because `fetch_lite`
-    /// classifies every URL exactly as `fetch` does.
+    /// exactly the chains where [`load`](Self::load) would, because
+    /// `fetch_lite` classifies every URL exactly as `fetch` does. This is
+    /// the milker's fast path: ~98 % of milking sessions land on an
+    /// already-seen domain and need nothing but this answer.
     ///
-    /// This is the milker's fast path: ~98 % of milking sessions land on
-    /// an already-seen domain and need nothing but this answer.
-    pub fn probe(&self, url: &Url, t: SimTime) -> Result<Url, ()> {
-        let mut current = url.clone();
-        for _ in 0..MAX_REDIRECTS {
-            match self.world.fetch_lite(&current, &self.client, t) {
-                LiteResponse::Redirect { to, .. } => current = to,
-                LiteResponse::Doc => return Ok(current),
-                LiteResponse::NxDomain | LiteResponse::Refused => return Err(()),
-            }
-        }
-        Err(())
-    }
-
-    /// [`probe`](Self::probe) behind the hosting layer's own cache
-    /// headers: each hop of the chain declares how long its error-free
-    /// answer stays valid (`World::fetch_lite_stable`), the chain is
+    /// The walk sits behind the hosting layer's own cache headers: each
+    /// hop of the chain declares how long its error-free answer stays
+    /// valid (`World::fetch_lite_stable`), the chain is
     /// memoized for the intersection of those windows, and only the
     /// fast-rolling transient-error draw is re-evaluated — once per
     /// 30-minute bucket — against the recorded hops. Re-probing the same
@@ -220,6 +207,19 @@ mod tests {
     use crate::BrowserSession;
     use seacma_simweb::{UaProfile, Vantage, WorldConfig};
 
+    /// The uncached chain walk [`QuietBrowser::probe_cached`] memoizes.
+    fn probe(quiet: &QuietBrowser, url: &Url, t: SimTime) -> Result<Url, ()> {
+        let mut current = url.clone();
+        for _ in 0..MAX_REDIRECTS {
+            match quiet.world.fetch_lite(&current, &quiet.client, t) {
+                LiteResponse::Redirect { to, .. } => current = to,
+                LiteResponse::Doc => return Ok(current),
+                LiteResponse::NxDomain | LiteResponse::Refused => return Err(()),
+            }
+        }
+        Err(())
+    }
+
     fn world() -> World {
         World::generate(WorldConfig {
             seed: 11,
@@ -273,7 +273,7 @@ mod tests {
         for hour in 0..48u64 {
             let t = SimTime(hour * 60);
             for url in &urls {
-                match (quiet.probe(url, t), quiet.load(url, t)) {
+                match (probe(&quiet, url, t), quiet.load(url, t)) {
                     (Ok(pu), Ok((lu, _))) => assert_eq!(pu, lu, "landing mismatch at {url} t={t}"),
                     (Err(()), Err(_)) => {}
                     (p, l) => panic!("probe/load diverged at {url} t={t}: {p:?} vs {l:?}"),
@@ -299,7 +299,7 @@ mod tests {
                 let t = SimTime(tick);
                 assert_eq!(
                     cached.probe_cached(&url, t).ok().cloned(),
-                    fresh.probe(&url, t).ok(),
+                    probe(&fresh, &url, t).ok(),
                     "cached/fresh divergence at {url} t={t}"
                 );
                 tick += 15;

@@ -325,23 +325,18 @@ impl Pipeline {
     /// boundary snapshot equals [`DiscoveryOutput::clusters`] bit for bit.
     pub fn crawl_epoch_batches(&self, discovery: &DiscoveryOutput) -> Vec<Vec<ScreenshotPoint>> {
         let arena = self.arena.read();
-        discovery
-            .crawl
-            .landing_epochs(self.config.crawl_track_epochs)
+        self.crawl_epoch_sym_batches(discovery)
             .into_iter()
-            .map(|chunk| {
-                chunk
-                    .into_iter()
-                    .map(|l| ScreenshotPoint::new(l.dhash, arena.resolve(l.landing_e2ld)))
-                    .collect()
+            .map(|batch| {
+                batch.into_iter().map(|(d, e)| ScreenshotPoint::new(d, arena.resolve(e))).collect()
             })
             .collect()
     }
 
     /// The per-epoch crawl batches as `(dhash, e2LD-symbol)` column pairs
-    /// — the zero-string variant of [`Pipeline::crawl_epoch_batches`] for
-    /// consumers sharing the world arena ([`Pipeline::track`], the
-    /// benchmark). Symbols resolve via [`Pipeline::arena`].
+    /// for consumers sharing the world arena ([`Pipeline::track`], the
+    /// benchmark); [`Pipeline::crawl_epoch_batches`] resolves them to
+    /// strings. Symbols resolve via [`Pipeline::arena`].
     pub fn crawl_epoch_sym_batches(&self, discovery: &DiscoveryOutput) -> Vec<Vec<(Dhash, Sym)>> {
         discovery
             .crawl
@@ -351,22 +346,10 @@ impl Pipeline {
             .collect()
     }
 
-    /// Pipeline-as-library entry point for epoch schedulers: one point
-    /// batch per virtual day of the milking window (quiet days included),
-    /// exactly as [`Pipeline::track_milking`] ingests them.
-    pub fn milking_epoch_batches(
-        &self,
-        milking: &MilkingOutcome,
-        start: SimTime,
-    ) -> Vec<Vec<ScreenshotPoint>> {
-        let feed = seacma_milker::trackfeed::discovery_points(milking);
-        let days = self.config.milking.duration.minutes().div_ceil(DAY.minutes()).max(1);
-        seacma_milker::trackfeed::epoch_batches(&feed, start, days)
-    }
-
-    /// The per-epoch milking batches as `(dhash, e2LD-symbol)` column
-    /// pairs — the zero-string variant of
-    /// [`Pipeline::milking_epoch_batches`]. Discovered domains are
+    /// Pipeline-as-library entry point for epoch schedulers: one batch of
+    /// `(dhash, e2LD-symbol)` column pairs per virtual day of the milking
+    /// window (quiet days included), exactly as
+    /// [`Pipeline::track_milking`] ingests them. Discovered domains are
     /// interned into the world arena here (a sequential point, so symbol
     /// assignment is deterministic).
     pub fn milking_epoch_sym_batches(
@@ -392,9 +375,7 @@ impl Pipeline {
     /// and death transitions.
     ///
     /// The replay runs on the symbol fast path, so `tracker` must share
-    /// the world arena (as the tracker from [`Pipeline::track`] does); a
-    /// consumer with a private arena (a resumed snapshot) ingests the
-    /// same points via [`Pipeline::milking_epoch_batches`] instead.
+    /// the world arena (as the tracker from [`Pipeline::track`] does).
     pub fn track_milking(
         &self,
         tracker: &mut CampaignTracker,

@@ -77,15 +77,27 @@ fn help_json() -> String {
     json::to_string(&json::Value::Obj(vec![("commands".to_string(), json::Value::Obj(table))]))
 }
 
+/// An optional count argument: absent is `default`, anything but a
+/// non-negative number is an error naming the argument.
+fn count(arg: Option<&str>, what: &str, default: u32) -> Result<u32, String> {
+    arg.map_or(Ok(default), |v| v.parse().map_err(|_| format!("{what} wants a count, got {v:?}")))
+}
+
+/// An error if a command line has a token after its last argument.
+fn no_more(extra: Option<&str>) -> Result<(), String> {
+    extra.map_or(Ok(()), |v| Err(format!("unexpected trailing {v:?}")))
+}
+
 /// Parses the tail of a `detect` line — `[hops] [e2lds] [sig,..]` — into
-/// the observation's cheap structural signals. Unknown signal tokens are
-/// an error (a typo must not silently score as "signal absent").
+/// the observation's cheap structural signals. A non-numeric count, an
+/// unknown signal token or a trailing token is an error (a typo must not
+/// silently score as "signal absent").
 fn parse_signals<'a>(
     mut parts: impl Iterator<Item = &'a str>,
 ) -> Result<PageSignals, String> {
     let mut signals = PageSignals::default();
-    signals.redirect_hops = parts.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-    signals.third_party_e2lds = parts.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+    signals.redirect_hops = count(parts.next(), "hops", 0)?;
+    signals.third_party_e2lds = count(parts.next(), "e2lds", 0)?;
     if let Some(sigs) = parts.next() {
         for s in sigs.split(',').filter(|s| !s.is_empty()) {
             match s {
@@ -98,7 +110,13 @@ fn parse_signals<'a>(
             }
         }
     }
+    no_more(parts.next())?;
     Ok(signals)
+}
+
+/// A `{"error":…}` answer carrying `msg`.
+fn error_json(msg: &str) -> String {
+    format!(r#"{{"error":{}}}"#, json::to_string(&msg))
 }
 
 /// Saves a snapshot so that `path` always holds a complete one: the text
@@ -260,7 +278,7 @@ fn main() {
                         counters.detect += 1;
                         json::to_string(&handle.detect(&PageObservation { dhash, signals }))
                     }
-                    Err(e) => format!(r#"{{"error":{}}}"#, json::to_string(&e)),
+                    Err(e) => error_json(&e),
                 },
                 None => r#"{"error":"detect wants a 32-hex dhash first"}"#.to_string(),
             },
@@ -282,41 +300,43 @@ fn main() {
                     snap.statuses().iter().filter(|s| s.qualified).count(),
                 )
             }
-            (Some("dash"), frames) => {
-                // Draw on stderr so stdout stays a clean query transcript.
-                // With a frame budget > 1 the dashboard waits for epoch
-                // boundaries and redraws, live-tailing the writer thread
-                // through the shared QueryHandle.
-                let budget: u32 = frames.and_then(|f| f.parse().ok()).unwrap_or(1);
-                let mut rendered = 0u32;
-                let mut last_epoch = 0u32;
-                while rendered < budget {
-                    let snap = handle.snapshot();
-                    if rendered > 0 && snap.epoch() == last_epoch {
-                        std::thread::sleep(Duration::from_millis((epoch_ms / 4).max(10)));
-                        continue;
+            // Draw on stderr so stdout stays a clean query transcript. With
+            // a frame budget > 1 the dashboard waits for epoch boundaries
+            // and redraws, live-tailing the writer thread through the
+            // shared QueryHandle.
+            (Some("dash"), frames) => match no_more(parts.next()).and(count(frames, "frames", 1)) {
+                Err(e) => error_json(&e),
+                Ok(budget) => {
+                    let mut rendered = 0u32;
+                    let mut last_epoch = 0u32;
+                    while rendered < budget {
+                        let snap = handle.snapshot();
+                        if rendered > 0 && snap.epoch() == last_epoch {
+                            std::thread::sleep(Duration::from_millis((epoch_ms / 4).max(10)));
+                            continue;
+                        }
+                        last_epoch = snap.epoch();
+                        let frame = render_frame(
+                            &snap,
+                            &counters,
+                            epochs_total,
+                            Some(started.elapsed().as_secs_f64()),
+                        );
+                        let mut err = std::io::stderr().lock();
+                        if budget > 1 {
+                            let _ = write!(err, "{CLEAR_SCREEN}");
+                        }
+                        for l in &frame {
+                            let _ = writeln!(err, "{}", l.ansi());
+                        }
+                        rendered += 1;
+                        if last_epoch >= epochs_total {
+                            break; // feed drained: no further boundary will come
+                        }
                     }
-                    last_epoch = snap.epoch();
-                    let frame = render_frame(
-                        &snap,
-                        &counters,
-                        epochs_total,
-                        Some(started.elapsed().as_secs_f64()),
-                    );
-                    let mut err = std::io::stderr().lock();
-                    if budget > 1 {
-                        let _ = write!(err, "{CLEAR_SCREEN}");
-                    }
-                    for l in &frame {
-                        let _ = writeln!(err, "{}", l.ansi());
-                    }
-                    rendered += 1;
-                    if last_epoch >= epochs_total {
-                        break; // feed drained: no further boundary will come
-                    }
+                    format!(r#"{{"ok":"dash drew {rendered} frame(s) on stderr"}}"#)
                 }
-                format!(r#"{{"ok":"dash drew {rendered} frame(s) on stderr"}}"#)
-            }
+            },
             (Some("snapshot"), Some(path)) => {
                 let _ = tx.send(Command::Snapshot(path.to_string()));
                 r#"{"ok":"snapshot queued for the next boundary"}"#.to_string()
@@ -331,9 +351,10 @@ fn main() {
                 {
                     Some((syntax, _)) => format!(r#"{{"error":"usage: {syntax}"}}"#),
                     None => {
-                        let msg =
-                            format!("unknown command {other:?}; commands: {}", command_names());
-                        format!(r#"{{"error":{}}}"#, json::to_string(&msg))
+                        error_json(&format!(
+                            "unknown command {other:?}; commands: {}",
+                            command_names()
+                        ))
                     }
                 }
             }
@@ -371,6 +392,30 @@ mod tests {
             let err = parse(argv).expect_err(&format!("{argv:?} must be rejected"));
             assert!(err.contains(argv[0]), "{argv:?}: message {err:?} must name the flag");
         }
+    }
+
+    #[test]
+    fn malformed_repl_arguments_are_errors_not_defaults() {
+        let parse = |line: &str| parse_signals(line.split_whitespace());
+        let full = parse("3 4 phone,survey").expect("well-formed");
+        assert_eq!((full.redirect_hops, full.third_party_e2lds), (3, 4));
+        assert!(full.scam_phone && full.survey_gateway && !full.locking);
+        assert_eq!(parse(""), Ok(PageSignals::default()));
+        assert_eq!(parse("2").map(|s| (s.redirect_hops, s.third_party_e2lds)), Ok((2, 0)));
+        for (line, names) in [
+            ("phone", "hops"),           // a signal where the hop count goes
+            ("x 4", "hops"),             // bad hop count
+            ("3 -1", "e2lds"),           // negative e2LD count
+            ("3 4 phnoe", "phnoe"),      // unknown signal
+            ("3 4 lock extra", "extra"), // trailing token
+        ] {
+            let err = parse(line).expect_err(&format!("{line:?} must be rejected"));
+            assert!(err.contains(names), "{line:?}: message {err:?} must name {names:?}");
+        }
+        assert_eq!(count(None, "frames", 1), Ok(1));
+        assert_eq!(count(Some("20"), "frames", 1), Ok(20));
+        assert!(count(Some("x"), "frames", 1).is_err_and(|e| e.contains("frames")));
+        assert!(no_more(Some("5")).is_err() && no_more(None).is_ok());
     }
 
     #[test]

@@ -25,18 +25,13 @@ use crate::snapshot::{QueryHandle, ReputationSnapshot, SnapshotCell};
 /// use seacma_vision::dhash::Dhash;
 ///
 /// let mut daemon = Daemon::new(TrackerConfig::default());
-/// let batches: Vec<Vec<ScreenshotPoint>> = (0..2)
-///     .map(|e| {
-///         (0..12u32)
-///             .map(|i| ScreenshotPoint::new(
-///                 Dhash(0xFACE ^ (1 << ((e + i) % 3))),
-///                 format!("evil{}.club", i % 6),
-///             ))
-///             .collect()
-///     })
-///     .collect();
-/// let summaries = daemon.run_epochs(batches);
-/// assert_eq!(summaries.len(), 2);
+/// for e in 0..2u32 {
+///     daemon.ingest_all((0..12u32).map(|i| {
+///         let hash = Dhash(0xFACE ^ (1 << ((e + i) % 3)));
+///         ScreenshotPoint::new(hash, format!("evil{}.club", i % 6))
+///     }));
+///     assert_eq!(daemon.close_epoch().epoch, e);
+/// }
 /// assert_eq!(daemon.handle().epoch(), 2);
 ///
 /// // Restart: resume from the JSON snapshot, answers are identical.
@@ -74,13 +69,8 @@ impl Daemon {
         self.tracker.epoch()
     }
 
-    /// Feeds one point into the current (open) epoch. Readers are
+    /// Feeds a batch of points into the current (open) epoch. Readers are
     /// unaffected until [`Daemon::close_epoch`] publishes the boundary.
-    pub fn ingest(&mut self, point: ScreenshotPoint) {
-        self.tracker.ingest(point);
-    }
-
-    /// Feeds a batch of points into the current epoch.
     pub fn ingest_all(&mut self, points: impl IntoIterator<Item = ScreenshotPoint>) {
         self.tracker.ingest_all(points);
     }
@@ -100,23 +90,6 @@ impl Daemon {
         let next = ReputationSnapshot::freeze(&self.tracker, Some(&self.cell.load()));
         self.cell.publish(next);
         summary
-    }
-
-    /// Runs one epoch per batch: ingest, then close. This is the shape the
-    /// pipeline's entry points produce
-    /// ([`Pipeline::crawl_epoch_batches`](seacma_core::Pipeline::crawl_epoch_batches),
-    /// [`Pipeline::milking_epoch_batches`](seacma_core::Pipeline::milking_epoch_batches)).
-    pub fn run_epochs(
-        &mut self,
-        batches: impl IntoIterator<Item = Vec<ScreenshotPoint>>,
-    ) -> Vec<EpochSummary> {
-        batches
-            .into_iter()
-            .map(|batch| {
-                self.ingest_all(batch);
-                self.close_epoch()
-            })
-            .collect()
     }
 
     /// Serializes the daemon's full resumable state — exactly the

@@ -40,7 +40,8 @@ use crate::snapshot::ReputationSnapshot;
 /// let oracle = replay_batches(TrackerConfig::default(), &[batch.clone()]);
 ///
 /// let mut daemon = Daemon::new(TrackerConfig::default());
-/// daemon.run_epochs([batch]);
+/// daemon.ingest_all(batch);
+/// daemon.close_epoch();
 /// let live = daemon.handle().snapshot();
 /// assert_eq!(oracle[0].epoch(), live.epoch());
 /// assert_eq!(

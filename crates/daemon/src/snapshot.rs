@@ -338,12 +338,9 @@ impl SnapshotCell {
 ///
 /// let mut daemon = Daemon::new(TrackerConfig::default());
 /// let handle = daemon.handle();        // clones can move to other threads
-/// for i in 0..12u32 {
-///     daemon.ingest(ScreenshotPoint::new(
-///         Dhash(0xFACE ^ (1 << (i % 3))),
-///         format!("evil{}.club", i % 6),
-///     ));
-/// }
+/// daemon.ingest_all((0..12u32).map(|i| {
+///     ScreenshotPoint::new(Dhash(0xFACE ^ (1 << (i % 3))), format!("evil{}.club", i % 6))
+/// }));
 /// assert_eq!(handle.epoch(), 0);       // mid-epoch points are not served yet
 /// daemon.close_epoch();
 /// assert_eq!(handle.epoch(), 1);

@@ -58,21 +58,14 @@ impl PageSignals {
     /// the third-party count excludes same-site URLs.
     ///
     /// ```
-    /// use seacma_browser::{BrowserEvent, EventLog, NavCause};
+    /// use seacma_browser::EventLog;
     /// use seacma_detect::PageSignals;
     /// use seacma_simweb::{Page, RedirectKind, Url, VisualTemplate};
     ///
     /// let mut log = EventLog::new();
-    /// log.push(BrowserEvent::Redirected {
-    ///     from: Url::http("pub.com", "/"),
-    ///     to: Url::http("trk.net", "/r"),
-    ///     kind: RedirectKind::Http302,
-    /// });
-    /// log.push(BrowserEvent::Redirected {
-    ///     from: Url::http("trk.net", "/r"),
-    ///     to: Url::http("prize.club", "/lp"),
-    ///     kind: RedirectKind::JsLocation,
-    /// });
+    /// let (publisher, tracker) = (Url::http("pub.com", "/"), Url::http("trk.net", "/r"));
+    /// log.redirected(&publisher, &tracker, RedirectKind::Http302);
+    /// log.redirected(&tracker, &Url::http("prize.club", "/lp"), RedirectKind::JsLocation);
     /// let mut page = Page::bare(
     ///     Url::http("prize.club", "/lp"),
     ///     "You won!",
@@ -188,7 +181,7 @@ impl_json_struct!(PageObservation { dhash, signals });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seacma_browser::{BrowserEvent, NavCause};
+    use seacma_browser::NavCause;
     use seacma_simweb::{RedirectKind, Url, VisualTemplate};
 
     fn lp(host: &str) -> Page {
@@ -198,22 +191,12 @@ mod tests {
     #[test]
     fn counts_exclude_landing_e2ld_and_dedupe() {
         let mut log = EventLog::new();
-        log.push(BrowserEvent::NavigationStart {
-            url: Url::http("pub.com", "/"),
-            cause: NavCause::Initial,
-            initiator: None,
-        });
-        log.push(BrowserEvent::Redirected {
-            from: Url::http("pub.com", "/"),
-            to: Url::http("ads.trk.net", "/a"),
-            kind: RedirectKind::Http302,
-        });
-        log.push(BrowserEvent::Redirected {
-            from: Url::http("ads.trk.net", "/a"),
-            to: Url::http("x.club", "/lp"),
-            kind: RedirectKind::JsLocation,
-        });
-        log.push(BrowserEvent::PageLoaded { url: Url::http("x.club", "/lp"), title: "t".into() });
+        let (publisher, ad) = (Url::http("pub.com", "/"), Url::http("ads.trk.net", "/a"));
+        let landing = Url::http("x.club", "/lp");
+        log.navigation_start(&publisher, NavCause::Initial, None);
+        log.redirected(&publisher, &ad, RedirectKind::Http302);
+        log.redirected(&ad, &landing, RedirectKind::JsLocation);
+        log.page_loaded(&landing, "t");
         let s = PageSignals::from_page_load(&log, &lp("x.club"), "x.club");
         assert_eq!(s.redirect_hops, 2);
         // pub.com and trk.net (subdomain folds to its e2LD); x.club is the
@@ -237,7 +220,7 @@ mod tests {
     #[test]
     fn prompt_event_counts_even_without_document_flag() {
         let mut log = EventLog::new();
-        log.push(BrowserEvent::NotificationPrompt { page: Url::http("x.club", "/lp") });
+        log.notification_prompt(&Url::http("x.club", "/lp"));
         let s = PageSignals::from_page_load(&log, &lp("x.club"), "x.club");
         assert!(s.notification_prompt);
         assert_eq!(s.score(), 1);

@@ -99,7 +99,7 @@ impl Attributor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seacma_browser::{BrowserEvent, EventLog};
+    use seacma_browser::EventLog;
     use seacma_simweb::RedirectKind;
 
     fn u(h: &str, p: &str) -> Url {
@@ -119,17 +119,9 @@ mod tests {
         let click = u("xyzad.net", click_path);
         let tds = u("tds.info", "/go");
         let attack = u("attack.club", "/idx.php");
-        log.push(BrowserEvent::TabOpened { opener: publisher, url: click.clone() });
-        log.push(BrowserEvent::Redirected {
-            from: click,
-            to: tds.clone(),
-            kind: RedirectKind::Http302,
-        });
-        log.push(BrowserEvent::Redirected {
-            from: tds,
-            to: attack.clone(),
-            kind: RedirectKind::JsSetTimeout,
-        });
+        log.tab_opened(&publisher, &click);
+        log.redirected(&click, &tds, RedirectKind::Http302);
+        log.redirected(&tds, &attack, RedirectKind::JsSetTimeout);
         (BacktrackGraph::from_log(&log), attack)
     }
 
@@ -165,10 +157,7 @@ mod tests {
     fn script_urls_count_for_attribution() {
         let mut log = EventLog::new();
         let page = u("pub.com", "/");
-        log.push(BrowserEvent::ScriptLoaded {
-            page: page.clone(),
-            src: u("srv.popnet.com", "/pcash/pop.js"),
-        });
+        log.script_loaded(&page, &u("srv.popnet.com", "/pcash/pop.js"));
         let g = BacktrackGraph::from_log(&log);
         let a = attributor().attribute(&g, &page);
         assert_eq!(a, Attribution::Known("PopCash".into()));

@@ -35,7 +35,7 @@ pub struct PathStep {
 /// A causal URL graph reconstructed from one browsing session's log.
 ///
 /// ```
-/// use seacma_browser::{BrowserEvent, EventLog};
+/// use seacma_browser::EventLog;
 /// use seacma_graph::{milkable, BacktrackGraph};
 /// use seacma_simweb::{RedirectKind, Url};
 ///
@@ -43,8 +43,8 @@ pub struct PathStep {
 /// let click = Url::http("srv.adnet.com", "/banners/asd.php?z=1");
 /// let tds = Url::http("findglo210.info", "/go");
 /// let attack = Url::http("live6nmld10.club", "/idx.php");
-/// log.push(BrowserEvent::Redirected { from: click, to: tds.clone(), kind: RedirectKind::Http302 });
-/// log.push(BrowserEvent::Redirected { from: tds, to: attack.clone(), kind: RedirectKind::JsSetTimeout });
+/// log.redirected(&click, &tds, RedirectKind::Http302);
+/// log.redirected(&tds, &attack, RedirectKind::JsSetTimeout);
 ///
 /// let graph = BacktrackGraph::from_log(&log);
 /// // The milkable candidate is the first upstream node off the attack e2LD.
@@ -290,38 +290,35 @@ impl BacktrackGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seacma_browser::{BrowserEvent, EventLog, NavCause};
+    use seacma_browser::{EventLog, NavCause};
 
     fn u(h: &str, p: &str) -> Url {
         Url::http(h, p)
     }
 
-    /// A synthetic log mirroring Figure 3: publisher → (tab) click URL →
-    /// (302) TDS → (JS) attack.
-    fn figure3_log() -> EventLog {
-        let mut log = EventLog::new();
+    /// The first `n` of the six events of a synthetic log mirroring
+    /// Figure 3: publisher → (tab) click URL → (302) TDS → (JS) attack.
+    fn figure3_prefix(n: usize) -> EventLog {
         let publisher = u("verbeinlaliga.com", "/");
+        let loader = u("nsvf17p9.com", "/banners/asd.php.js");
         let click = u("nsvf17p9.com", "/banners/asd.php?z=1");
         let tds = u("findglo210.info", "/go");
         let attack = u("live6nmld10.club", "/landing/idx.php");
-        log.push(BrowserEvent::PageLoaded { url: publisher.clone(), title: "pub".into() });
-        log.push(BrowserEvent::ScriptLoaded {
-            page: publisher.clone(),
-            src: u("nsvf17p9.com", "/banners/asd.php.js"),
-        });
-        log.push(BrowserEvent::TabOpened { opener: publisher.clone(), url: click.clone() });
-        log.push(BrowserEvent::Redirected {
-            from: click.clone(),
-            to: tds.clone(),
-            kind: RedirectKind::Http302,
-        });
-        log.push(BrowserEvent::Redirected {
-            from: tds.clone(),
-            to: attack.clone(),
-            kind: RedirectKind::JsSetTimeout,
-        });
-        log.push(BrowserEvent::PageLoaded { url: attack, title: "scam".into() });
+        let steps: [&dyn Fn(&mut EventLog); 6] = [
+            &|l: &mut EventLog| l.page_loaded(&publisher, "pub"),
+            &|l: &mut EventLog| l.script_loaded(&publisher, &loader),
+            &|l: &mut EventLog| l.tab_opened(&publisher, &click),
+            &|l: &mut EventLog| l.redirected(&click, &tds, RedirectKind::Http302),
+            &|l: &mut EventLog| l.redirected(&tds, &attack, RedirectKind::JsSetTimeout),
+            &|l: &mut EventLog| l.page_loaded(&attack, "scam"),
+        ];
+        let mut log = EventLog::new();
+        steps[..n].iter().for_each(|step| step(&mut log));
         log
+    }
+
+    fn figure3_log() -> EventLog {
+        figure3_prefix(6)
     }
 
     #[test]
@@ -352,11 +349,7 @@ mod tests {
         let mut log = EventLog::new();
         let a = u("a.com", "/");
         let b = u("b.com", "/");
-        log.push(BrowserEvent::NavigationStart {
-            url: b.clone(),
-            cause: NavCause::UserClick,
-            initiator: Some(a.clone()),
-        });
+        log.navigation_start(&b, NavCause::UserClick, Some(&a));
         let g = BacktrackGraph::from_log(&log);
         assert_eq!(g.parent_of(&b), Some((&a, EdgeKind::UserClick)));
     }
@@ -366,16 +359,8 @@ mod tests {
         let mut log = EventLog::new();
         let a = u("a.com", "/");
         let b = u("b.com", "/");
-        log.push(BrowserEvent::Redirected {
-            from: a.clone(),
-            to: b.clone(),
-            kind: RedirectKind::Http302,
-        });
-        log.push(BrowserEvent::Redirected {
-            from: b.clone(),
-            to: a.clone(),
-            kind: RedirectKind::Http302,
-        });
+        log.redirected(&a, &b, RedirectKind::Http302);
+        log.redirected(&b, &a, RedirectKind::Http302);
         let g = BacktrackGraph::from_log(&log);
         let path = g.backtrack(&a);
         assert_eq!(path.len(), 2, "cycle must be cut");
@@ -411,10 +396,10 @@ mod tests {
         let tag = u("nsvf17p9.com", "/tag.js");
         let tds = u("findglo210.info", "/go");
         let attack = u("live6nmld10.club", "/landing/idx.php");
-        for page in [u("verbeinlaliga.com", "/"), tds.clone(), attack.clone()] {
-            log.push(BrowserEvent::ScriptLoaded { page, src: tag.clone() });
+        for page in [&u("verbeinlaliga.com", "/"), &tds, &attack] {
+            log.script_loaded(page, &tag);
         }
-        log.push(BrowserEvent::ScriptLoaded { page: tds, src: tag.clone() });
+        log.script_loaded(&tds, &tag);
         let g = BacktrackGraph::from_log(&log);
         let urls = g.involved_urls(&attack);
         assert_eq!(urls.iter().filter(|x| **x == tag).count(), 1, "tag must appear once");
@@ -456,10 +441,7 @@ mod tests {
         for split in 0..=log.len() {
             let mut g = BacktrackGraph::default();
             // First stage: a log holding only the first `split` events.
-            let mut head = EventLog::new();
-            for e in log.events().take(split) {
-                head.push(e.to_owned());
-            }
+            let head = figure3_prefix(split);
             let c = g.extend_from_log(&head, 0);
             assert_eq!(c, split);
             let c = g.extend_from_log(&log, c);
@@ -497,16 +479,8 @@ mod tests {
         let a = u("a.com", "/");
         let b = u("b.com", "/");
         let c = u("c.com", "/");
-        log.push(BrowserEvent::Redirected {
-            from: a.clone(),
-            to: c.clone(),
-            kind: RedirectKind::Http302,
-        });
-        log.push(BrowserEvent::Redirected {
-            from: b.clone(),
-            to: c.clone(),
-            kind: RedirectKind::JsLocation,
-        });
+        log.redirected(&a, &c, RedirectKind::Http302);
+        log.redirected(&b, &c, RedirectKind::JsLocation);
         let g = BacktrackGraph::from_log(&log);
         assert_eq!(g.parent_of(&c), Some((&b, EdgeKind::Redirect(RedirectKind::JsLocation))));
     }

@@ -50,7 +50,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seacma_browser::{BrowserEvent, EventLog};
+    use seacma_browser::EventLog;
     use seacma_simweb::RedirectKind;
 
     fn u(h: &str, p: &str) -> Url {
@@ -60,11 +60,7 @@ mod tests {
     fn chain_log(hops: &[(&str, &str, RedirectKind)]) -> EventLog {
         let mut log = EventLog::new();
         for (from, to, kind) in hops {
-            log.push(BrowserEvent::Redirected {
-                from: u(from, "/"),
-                to: u(to, "/x"),
-                kind: *kind,
-            });
+            log.redirected(&u(from, "/"), &u(to, "/x"), *kind);
         }
         log
     }
@@ -86,11 +82,8 @@ mod tests {
         // Attack page does an internal same-site hop first:
         // tds.info/ → www.attack.club/x → attack.club/final
         let mut log = chain_log(&[("tds.info", "www.attack.club", RedirectKind::JsLocation)]);
-        log.push(BrowserEvent::Redirected {
-            from: u("www.attack.club", "/x"),
-            to: u("attack.club", "/final"),
-            kind: RedirectKind::Http301,
-        });
+        let (hop, landing) = (u("www.attack.club", "/x"), u("attack.club", "/final"));
+        log.redirected(&hop, &landing, RedirectKind::Http301);
         let g = BacktrackGraph::from_log(&log);
         let c = candidate(&g, &u("attack.club", "/final")).unwrap();
         assert_eq!(c.host, "tds.info", "same-e2LD hop must be skipped");
@@ -105,11 +98,7 @@ mod tests {
     #[test]
     fn batch_deduplicates() {
         let mut log = chain_log(&[("tds.info", "a1.club", RedirectKind::JsLocation)]);
-        log.push(BrowserEvent::Redirected {
-            from: u("tds.info", "/"),
-            to: u("a2.club", "/x"),
-            kind: RedirectKind::JsLocation,
-        });
+        log.redirected(&u("tds.info", "/"), &u("a2.club", "/x"), RedirectKind::JsLocation);
         let g = BacktrackGraph::from_log(&log);
         let attacks = [u("a1.club", "/x"), u("a2.club", "/x")];
         let cs = candidates(&g, attacks.iter());

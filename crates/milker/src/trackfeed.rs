@@ -10,31 +10,21 @@
 
 use seacma_simweb::{SimTime, World};
 use seacma_util::sym::{SharedArena, Sym};
-use seacma_vision::cluster::ScreenshotPoint;
 use seacma_vision::dhash::Dhash;
 
 use crate::scheduler::MilkingOutcome;
 use crate::sources::MilkingSource;
 
-/// One `(first_seen, ScreenshotPoint)` per discovery, in the outcome's
-/// discovery order (merge-sweep order, so `first_seen` is nondecreasing —
-/// ready to be bucketed into tracker epochs).
+/// One `(first_seen, (dhash, e2LD))` point per discovery, in the
+/// outcome's discovery order (merge-sweep order, so `first_seen` is
+/// nondecreasing — ready to be bucketed into tracker epochs).
 ///
 /// The dhash is the one the milker compared against the source's
-/// reference at the discovery tick; the e2LD is the discovered domain.
-pub fn discovery_points(outcome: &MilkingOutcome) -> Vec<(SimTime, ScreenshotPoint)> {
-    outcome
-        .discoveries
-        .iter()
-        .map(|d| (d.first_seen, ScreenshotPoint::new(d.dhash, d.domain.clone())))
-        .collect()
-}
-
-/// The zero-string variant of [`discovery_points`]: each discovered
-/// domain is interned into `arena` (the world-level arena the tracker
-/// shares) and the feed carries `(dhash, symbol)` pairs ready for
-/// `ingest_sym`. Interning happens here, at a sequential point in
-/// discovery order, so symbol assignment stays deterministic.
+/// reference at the discovery tick; the e2LD is the discovered domain,
+/// interned into `arena` (the world-level arena the tracker shares) so the
+/// pairs are ready for `ingest_sym`. Interning happens here, at a
+/// sequential point in discovery order, so symbol assignment stays
+/// deterministic.
 ///
 /// `_world`/`_sources` are unused — a discovery carries its hash — but `benchmark/` calls this signature.
 pub fn discovery_sym_points(
@@ -50,7 +40,7 @@ pub fn discovery_sym_points(
         .collect()
 }
 
-/// Buckets a [`discovery_points`] feed into one batch per virtual day —
+/// Buckets a discovery feed into one batch per virtual day —
 /// the epoch-step hook the tracking phase and the resident daemon's
 /// scheduler drive. Batch `d` holds every discovery with
 /// `start + d·DAY <= first_seen < start + (d+1)·DAY`; quiet days yield
@@ -61,9 +51,9 @@ pub fn discovery_sym_points(
 /// batch preserves the feed's ingestion order and concatenating all
 /// batches reproduces the feed exactly.
 ///
-/// Generic over the point payload: [`discovery_points`] feeds bucket into
-/// `ScreenshotPoint` batches, [`discovery_sym_points`] feeds into
-/// `(Dhash, Sym)` column batches.
+/// Generic over the point payload: [`discovery_sym_points`] feeds bucket
+/// into `(Dhash, Sym)` column batches, string-keyed reference feeds into
+/// `ScreenshotPoint` batches.
 pub fn epoch_batches<T: Clone>(
     feed: &[(SimTime, T)],
     start: SimTime,
@@ -92,6 +82,7 @@ mod tests {
     use super::*;
     use crate::scheduler::{Milker, MilkingConfig};
     use crate::sources::MATCH_THRESHOLD;
+    use seacma_vision::cluster::ScreenshotPoint;
     use seacma_vision::dhash::hamming;
 
     #[test]
@@ -135,7 +126,12 @@ mod tests {
             Milker::new(&world, config).run_parallel(&sources, &mut gsb, &mut vt, t0, 1);
         assert!(!outcome.discoveries.is_empty(), "seed world must yield discoveries");
 
-        let points = discovery_points(&outcome);
+        // The string reference feed, one point per discovery.
+        let points: Vec<(SimTime, ScreenshotPoint)> = outcome
+            .discoveries
+            .iter()
+            .map(|d| (d.first_seen, ScreenshotPoint::new(d.dhash, d.domain.clone())))
+            .collect();
         assert_eq!(points.len(), outcome.discoveries.len());
         // The sym feed is the same feed, column-form: same times, same
         // dhashes, and every symbol resolves to the string point's e2LD.

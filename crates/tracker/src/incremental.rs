@@ -188,12 +188,6 @@ impl IncrementalClusterer {
         &self.originals
     }
 
-    /// Ingests one point (struct form; interns the e2LD and delegates to
-    /// [`IncrementalClusterer::insert_sym`]).
-    pub fn insert(&mut self, point: ScreenshotPoint) {
-        self.insert_ref(point.dhash, &point.e2ld);
-    }
-
     /// Ingests one point given by reference, avoiding the caller-side
     /// `ScreenshotPoint` construction. Returns the new unique-point index
     /// when the pair was never seen before.
@@ -594,7 +588,7 @@ mod tests {
         let pts = mixed_corpus(0x7AC4, 120);
         let mut inc = IncrementalClusterer::new(ClusterParams::default());
         for (i, p) in pts.iter().enumerate() {
-            inc.insert(p.clone());
+            inc.insert_ref(p.dhash, &p.e2ld);
             let batch = cluster_screenshots(&pts[..=i], ClusterParams::default());
             assert_eq!(inc.clusters(), batch, "diverged at prefix {}", i + 1);
         }
@@ -605,7 +599,7 @@ mod tests {
         let mut inc = IncrementalClusterer::new(ClusterParams::default());
         let p = ScreenshotPoint::new(Dhash(42), "dup.com");
         for _ in 0..5 {
-            inc.insert(p.clone());
+            inc.insert_ref(p.dhash, &p.e2ld);
         }
         assert_eq!(inc.len(), 5);
         assert_eq!(inc.unique_len(), 1);
@@ -626,7 +620,7 @@ mod tests {
         let mut by_struct = IncrementalClusterer::new(ClusterParams::default());
         let mut by_sym = IncrementalClusterer::with_arena(ClusterParams::default(), arena.clone());
         for p in &pts {
-            by_struct.insert(p.clone());
+            by_struct.insert_ref(p.dhash, &p.e2ld);
             let sym = arena.intern(&p.e2ld);
             by_sym.insert_sym(p.dhash, sym);
         }
@@ -640,7 +634,7 @@ mod tests {
         let pts = mixed_corpus(0xFEED, 40);
         let mut inc = IncrementalClusterer::new(params);
         for p in &pts {
-            inc.insert(p.clone());
+            inc.insert_ref(p.dhash, &p.e2ld);
         }
         assert_eq!(inc.clusters(), cluster_screenshots(&pts, params));
         assert_eq!(inc.clusters().noise, 0);
@@ -653,8 +647,8 @@ mod tests {
         let mut whole = IncrementalClusterer::new(params);
         let mut front = IncrementalClusterer::new(params);
         for p in &pts[..60] {
-            whole.insert(p.clone());
-            front.insert(p.clone());
+            whole.insert_ref(p.dhash, &p.e2ld);
+            front.insert_ref(p.dhash, &p.e2ld);
         }
         let mut resumed =
             IncrementalClusterer::from_state(front.to_state()).expect("own state is valid");
@@ -664,8 +658,8 @@ mod tests {
             "resume re-interns e2LDs in first-seen order"
         );
         for p in &pts[60..] {
-            whole.insert(p.clone());
-            resumed.insert(p.clone());
+            whole.insert_ref(p.dhash, &p.e2ld);
+            resumed.insert_ref(p.dhash, &p.e2ld);
         }
         assert_eq!(resumed.to_state(), whole.to_state());
         assert_eq!(resumed.clusters(), whole.clusters());
@@ -694,7 +688,7 @@ mod tests {
         }
         let mut inc = IncrementalClusterer::new(params);
         for p in &pts {
-            inc.insert(p.clone());
+            inc.insert_ref(p.dhash, &p.e2ld);
         }
         let before = inc.clusters();
         assert_eq!(before.total_clusters(), 1);
@@ -705,7 +699,7 @@ mod tests {
             .map(|i| ScreenshotPoint::new(Dhash(y ^ (1u128 << (100 + i))), format!("y{}.com", i + 1)))
             .collect();
         for p in &epoch2 {
-            inc.insert(p.clone());
+            inc.insert_ref(p.dhash, &p.e2ld);
         }
         let after = inc.clusters();
         assert_eq!(after.total_clusters(), 2);

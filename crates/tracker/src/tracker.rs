@@ -66,9 +66,6 @@ pub struct EpochSummary {
 pub struct CampaignTracker {
     config: TrackerConfig,
     clusterer: IncrementalClusterer,
-    /// Epoch stamp per unique point: the epoch during which the point
-    /// first arrived. Parallel to the clusterer's dhash/e2LD columns.
-    first_epoch: Vec<u32>,
     ledger: CampaignLedger,
     epoch: u32,
     epoch_ingested: u32,
@@ -87,7 +84,6 @@ impl CampaignTracker {
         Self {
             config,
             clusterer: IncrementalClusterer::with_arena(config.params, arena),
-            first_epoch: Vec::new(),
             ledger: CampaignLedger::new(config.ledger),
             epoch: 0,
             epoch_ingested: 0,
@@ -144,17 +140,9 @@ impl CampaignTracker {
         self.clusterer.e2ld_syms()
     }
 
-    /// The epoch during which each unique point first arrived — a third
-    /// parallel column, stamped at ingest time.
-    pub fn first_epochs(&self) -> &[u32] {
-        &self.first_epoch
-    }
-
     /// Feeds one screenshot point into the current epoch.
     pub fn ingest(&mut self, point: ScreenshotPoint) {
-        if self.clusterer.insert_ref(point.dhash, &point.e2ld).is_some() {
-            self.first_epoch.push(self.epoch);
-        }
+        self.clusterer.insert_ref(point.dhash, &point.e2ld);
         self.epoch_ingested += 1;
     }
 
@@ -162,9 +150,7 @@ impl CampaignTracker {
     /// zero-string hot path. `e2ld` must come from this tracker's arena
     /// ([`CampaignTracker::arena`]).
     pub fn ingest_sym(&mut self, dhash: Dhash, e2ld: Sym) {
-        if self.clusterer.insert_sym(dhash, e2ld).is_some() {
-            self.first_epoch.push(self.epoch);
-        }
+        self.clusterer.insert_sym(dhash, e2ld);
         self.epoch_ingested += 1;
     }
 
@@ -221,7 +207,6 @@ impl CampaignTracker {
         json::to_string(&TrackerState {
             config: self.config,
             clusterer: self.clusterer.to_state(),
-            first_epoch: self.first_epoch.clone(),
             ledger: self.ledger.to_state(&self.clusterer.arena().read()),
             epoch: self.epoch,
             epoch_ingested: self.epoch_ingested,
@@ -244,7 +229,6 @@ impl CampaignTracker {
         Ok(Self {
             config: state.config,
             clusterer,
-            first_epoch: state.first_epoch,
             ledger,
             epoch: state.epoch,
             epoch_ingested: state.epoch_ingested,
@@ -287,27 +271,20 @@ fn observed_clusters(
 struct TrackerState {
     config: TrackerConfig,
     clusterer: ClustererState,
-    first_epoch: Vec<u32>,
     ledger: LedgerState,
     epoch: u32,
     epoch_ingested: u32,
 }
 
 impl TrackerState {
-    /// Checks what ties the tracker's own columns to the clusterer's
-    /// (whose internal invariants [`IncrementalClusterer::from_state`]
-    /// checks): one epoch stamp per unique point, ledger assignments that
-    /// name existing records, records whose id is their position and
-    /// whose epochs are ordered — everything an epoch close or a
-    /// reputation snapshot indexes or subtracts by.
+    /// Checks what ties the ledger to the clusterer's points (whose
+    /// internal invariants [`IncrementalClusterer::from_state`] checks):
+    /// ledger assignments that name existing records, records
+    /// whose id is their position and whose epochs are ordered —
+    /// everything an epoch close or a reputation snapshot indexes or
+    /// subtracts by.
     fn validate(&self) -> Result<(), JsonError> {
         let n = self.clusterer.points.len();
-        if self.first_epoch.len() != n {
-            return Err(JsonError::msg(format!(
-                "tracker column `first_epoch` has {} entries for {n} points",
-                self.first_epoch.len()
-            )));
-        }
         let records = &self.ledger.records;
         if self.ledger.assign.len() > n
             || self.ledger.assign.iter().flatten().any(|&id| id as usize >= records.len())
@@ -330,7 +307,7 @@ impl TrackerState {
 
 impl_json_struct!(TrackerConfig { params, ledger });
 impl_json_struct!(EpochSummary { epoch, ingested, clusters, campaigns, events });
-impl_json_struct!(TrackerState { config, clusterer, first_epoch, ledger, epoch, epoch_ingested });
+impl_json_struct!(TrackerState { config, clusterer, ledger, epoch, epoch_ingested });
 
 #[cfg(test)]
 mod tests {
@@ -439,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_sym_matches_ingest_and_stamps_epochs() {
+    fn ingest_sym_matches_ingest() {
         let arena = seacma_util::sym::SharedArena::new();
         arena.intern("unrelated-preexisting.example");
         let mut by_sym = CampaignTracker::with_arena(TrackerConfig::default(), arena.clone());
@@ -458,12 +435,5 @@ mod tests {
         }
         // The serialized state resolves symbols, so it is arena-independent.
         assert_eq!(by_sym.to_json(), by_struct.to_json());
-        // Epoch stamps: non-decreasing, bounded by the closing epoch, and
-        // exactly one per unique point.
-        let stamps = by_sym.first_epochs();
-        assert_eq!(stamps.len(), by_sym.unique_len());
-        assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-        assert!(stamps.iter().all(|&e| e < by_sym.epoch()));
-        assert!(stamps.contains(&0) && stamps.contains(&1));
     }
 }

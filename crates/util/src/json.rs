@@ -325,7 +325,7 @@ pub fn to_writer<W: std::io::Write, T: ToJson + ?Sized>(
 
 /// Parses a JSON document into a [`Value`].
 pub fn parse(src: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { src, bytes: src.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -341,6 +341,7 @@ pub fn from_str<T: FromJson>(src: &str) -> Result<T, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -452,15 +453,20 @@ impl<'a> Parser<'a> {
             return Err(self.err("expected string"));
         }
         self.pos += 1;
+        // Unescaped text is copied a run at a time. A run ends at an ASCII
+        // `"` or `\`, so both of its ends fall on char boundaries of `src`.
         let mut out = String::new();
+        let mut run = self.pos;
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
+                    out.push_str(&self.src[run..self.pos]);
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    out.push_str(&self.src[run..self.pos]);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -492,23 +498,18 @@ impl<'a> Parser<'a> {
                                     .ok_or_else(|| self.err("invalid \\u escape"))?
                             };
                             out.push(c);
-                            continue; // hex4 advanced pos already
+                            run = self.pos; // hex4 advanced pos already
+                            continue;
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
+                    run = self.pos;
                 }
                 Some(c) if c < 0x20 => {
                     return Err(self.err("raw control character in string"))
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (source is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.pos += 1,
             }
         }
     }
@@ -519,8 +520,7 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ascii in \\u escape"))?;
+        let s = self.src.get(self.pos..end).ok_or_else(|| self.err("non-ascii in \\u escape"))?;
         let n = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos = end;
         Ok(n)
@@ -542,7 +542,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if float {
             return text
                 .parse::<f64>()
@@ -1010,6 +1010,41 @@ mod tests {
         assert!(parse("nul").is_err());
         let deep = "[".repeat(500) + &"]".repeat(500);
         assert!(parse(&deep).is_err(), "depth limit");
+    }
+
+    #[test]
+    fn hostile_input_is_an_error_or_a_value_never_a_panic() {
+        crate::forall!(512, |rng| {
+            // Random bytes, half of them JSON punctuation, made lossy UTF-8.
+            let bytes = rng.vec_of(0, 48, |r| match r.bool(0.5) {
+                true => *r.pick(b"{}[]\",:\\/u0189abcdefABCDEF.-+e ntrul"),
+                false => r.u8(),
+            });
+            if let Ok(v) = parse(&String::from_utf8_lossy(&bytes)) {
+                to_string(&v);
+            }
+            // Values nested one short of, at and one past the depth limit
+            // (`k` containers around a scalar is `k + 1` levels).
+            let k = MAX_DEPTH - 2 + rng.below(3) as usize;
+            let (open, close) = *rng.pick(&[("[", "]"), ("{\"k\":", "}")]);
+            let doc = format!("{}0{}", open.repeat(k), close.repeat(k));
+            assert_eq!(parse(&doc).is_ok(), k < MAX_DEPTH, "nesting {k}");
+            // Surrogate escapes: a pair parses; lone, reversed and
+            // truncated ones are errors.
+            let hi = 0xD800 + rng.below(0x400) as u32;
+            let lo = 0xDC00 + rng.below(0x400) as u32;
+            let pair = format!("\\u{hi:04x}\\u{lo:04X}");
+            let want = char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00));
+            assert_eq!(parse(&format!("\"{pair}\"")), Ok(Value::Str(want.unwrap().into())));
+            let cut = &pair[..rng.range(1, pair.len())];
+            for bad in [format!("\\u{hi:04x}x"), format!("\\u{lo:04x}\\u{hi:04x}"), cut.into()] {
+                assert!(parse(&format!("\"{bad}\"")).is_err(), "{bad}");
+            }
+            // Unescaped multi-byte runs between escapes come back intact.
+            let chars = ['a', 'é', '€', '🦀', '"', '\\', '\n'];
+            let text: String = (0..rng.range(0, 12)).map(|_| *rng.pick(&chars)).collect();
+            assert_eq!(parse(&to_string(&Value::Str(text.clone()))), Ok(Value::Str(text)));
+        });
     }
 
     #[test]

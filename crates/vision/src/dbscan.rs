@@ -4,28 +4,10 @@
 //! The paper clusters `(dhash, e2LD)` pairs with DBSCAN using
 //! `eps = 0.1` (normalized Hamming distance) and `MinPts = 3`. This module
 //! provides a faithful, allocation-conscious DBSCAN whose region queries go
-//! through the [`RegionQuery`] trait: the classic pairwise-distance closure
-//! ([`dbscan`]) remains the fallback O(n²) implementation, while
-//! [`HammingIndex`](crate::index::HammingIndex) supplies the sub-quadratic
-//! indexed path with byte-identical output (see DESIGN.md, "Hamming
-//! neighbour index").
-
-/// DBSCAN parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DbscanParams {
-    /// Neighbourhood radius: points within distance `<= eps` are neighbours.
-    pub eps: f64,
-    /// Minimum neighbourhood size (including the point itself) for a point
-    /// to be a *core* point.
-    pub min_pts: usize,
-}
-
-impl Default for DbscanParams {
-    /// The paper's settings: `eps = 0.1`, `MinPts = 3`.
-    fn default() -> Self {
-        Self { eps: 0.1, min_pts: 3 }
-    }
-}
+//! through the [`RegionQuery`] trait.
+//! [`HammingIndex`](crate::index::HammingIndex) is the production oracle;
+//! the naive pairwise scan it must match lives with the tests (see
+//! DESIGN.md, "Hamming neighbour index").
 
 /// Cluster assignment for one point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,52 +50,12 @@ pub trait RegionQuery {
     }
 }
 
-/// The fallback [`RegionQuery`]: a linear scan over a pairwise distance
-/// closure, O(n) per query and O(n²) over a full DBSCAN run.
-pub struct FnRegion<F> {
-    n: usize,
-    eps: f64,
-    dist: F,
-}
-
-impl<F: FnMut(usize, usize) -> f64> FnRegion<F> {
-    /// A scan over `n` points with pairwise distance `dist` and radius
-    /// `eps`.
-    pub fn new(n: usize, eps: f64, dist: F) -> Self {
-        Self { n, eps, dist }
-    }
-}
-
-impl<F: FnMut(usize, usize) -> f64> RegionQuery for FnRegion<F> {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn region(&mut self, p: usize, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend((0..self.n).filter(|&q| (self.dist)(p, q) <= self.eps));
-    }
-}
-
-/// Runs DBSCAN over `n` points with pairwise distance `dist`.
+/// Runs DBSCAN over an arbitrary [`RegionQuery`] oracle.
 ///
 /// Returns one [`Label`] per point. Border points are assigned to the first
 /// core point that reaches them (classic DBSCAN order-dependence; with the
 /// tight eps used for perceptual hashes this is immaterial because clusters
 /// are well separated).
-///
-/// Complexity is O(n²) distance evaluations — the same regime as the paper,
-/// which clustered ~200k screenshots offline. For dhash workloads use
-/// [`HammingIndex`](crate::index::HammingIndex) with [`dbscan_with`]: same
-/// labels, sub-quadratic work.
-pub fn dbscan<F>(n: usize, params: DbscanParams, dist: F) -> Vec<Label>
-where
-    F: FnMut(usize, usize) -> f64,
-{
-    dbscan_with(&mut FnRegion::new(n, params.eps, dist), params.min_pts)
-}
-
-/// Runs DBSCAN over an arbitrary [`RegionQuery`] oracle.
 ///
 /// Each point receives **exactly one** region query over the whole run
 /// (noise points when first scanned, cluster members when first labeled),
@@ -181,32 +123,60 @@ pub fn dbscan_with<Q: RegionQuery + ?Sized>(query: &mut Q, min_pts: usize) -> Ve
 mod tests {
     use super::*;
 
+    /// The naive O(n) region query: every point, through a pairwise
+    /// distance closure.
+    struct Scan<F> {
+        n: usize,
+        eps: f64,
+        dist: F,
+    }
+
+    impl<F: FnMut(usize, usize) -> f64> RegionQuery for Scan<F> {
+        fn len(&self) -> usize {
+            self.n
+        }
+
+        fn region(&mut self, p: usize, out: &mut Vec<usize>) {
+            out.clear();
+            out.extend((0..self.n).filter(|&q| (self.dist)(p, q) <= self.eps));
+        }
+    }
+
+    fn dbscan(
+        n: usize,
+        eps: f64,
+        min_pts: usize,
+        dist: impl FnMut(usize, usize) -> f64,
+    ) -> Vec<Label> {
+        dbscan_with(&mut Scan { n, eps, dist }, min_pts)
+    }
+
     fn d1(points: &[f64]) -> impl FnMut(usize, usize) -> f64 + '_ {
         move |a, b| (points[a] - points[b]).abs()
     }
 
     #[test]
     fn empty_input() {
-        let labels = dbscan(0, DbscanParams::default(), |_, _| 0.0);
+        let labels = dbscan(0, 0.1, 3, |_, _| 0.0);
         assert!(labels.is_empty());
     }
 
     #[test]
     fn single_point_is_noise_with_minpts_over_one() {
-        let labels = dbscan(1, DbscanParams { eps: 1.0, min_pts: 2 }, |_, _| 0.0);
+        let labels = dbscan(1, 1.0, 2, |_, _| 0.0);
         assert_eq!(labels, vec![Label::Noise]);
     }
 
     #[test]
     fn single_point_cluster_with_minpts_one() {
-        let labels = dbscan(1, DbscanParams { eps: 1.0, min_pts: 1 }, |_, _| 0.0);
+        let labels = dbscan(1, 1.0, 1, |_, _| 0.0);
         assert_eq!(labels, vec![Label::Cluster(0)]);
     }
 
     #[test]
     fn two_well_separated_blobs() {
         let pts = [0.0, 0.1, 0.2, 10.0, 10.1, 10.2];
-        let labels = dbscan(pts.len(), DbscanParams { eps: 0.5, min_pts: 3 }, d1(&pts));
+        let labels = dbscan(pts.len(), 0.5, 3, d1(&pts));
         assert_eq!(labels[0], labels[1]);
         assert_eq!(labels[1], labels[2]);
         assert_eq!(labels[3], labels[4]);
@@ -218,7 +188,7 @@ mod tests {
     #[test]
     fn sparse_points_are_noise() {
         let pts = [0.0, 5.0, 10.0, 15.0];
-        let labels = dbscan(pts.len(), DbscanParams { eps: 1.0, min_pts: 2 }, d1(&pts));
+        let labels = dbscan(pts.len(), 1.0, 2, d1(&pts));
         assert!(labels.iter().all(|&l| l == Label::Noise));
     }
 
@@ -227,7 +197,7 @@ mod tests {
         // Points 0.0, 0.4, 0.8, ... each within eps of the next: DBSCAN's
         // density-reachability must merge the whole chain into one cluster.
         let pts: Vec<f64> = (0..10).map(|i| i as f64 * 0.4).collect();
-        let labels = dbscan(pts.len(), DbscanParams { eps: 0.5, min_pts: 2 }, d1(&pts));
+        let labels = dbscan(pts.len(), 0.5, 2, d1(&pts));
         let first = labels[0];
         assert!(matches!(first, Label::Cluster(_)));
         assert!(labels.iter().all(|&l| l == first));
@@ -238,14 +208,14 @@ mod tests {
         // Dense blob at 0 plus one point at 0.9 reachable from the blob edge
         // but itself not core.
         let pts = [0.0, 0.05, 0.1, 0.55];
-        let labels = dbscan(pts.len(), DbscanParams { eps: 0.5, min_pts: 3 }, d1(&pts));
+        let labels = dbscan(pts.len(), 0.5, 3, d1(&pts));
         assert_eq!(labels[3], labels[0], "border point must join the cluster");
     }
 
     #[test]
     fn cluster_ids_are_contiguous() {
         let pts = [0.0, 0.1, 0.2, 10.0, 10.1, 10.2, 20.0, 20.1, 20.2];
-        let labels = dbscan(pts.len(), DbscanParams { eps: 0.5, min_pts: 3 }, d1(&pts));
+        let labels = dbscan(pts.len(), 0.5, 3, d1(&pts));
         let mut ids: Vec<usize> = labels.iter().filter_map(|l| l.cluster_id()).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -263,7 +233,7 @@ mod tests {
         // duplicate enqueues.
         let n = 40;
         let mut dist_calls = 0usize;
-        let labels = dbscan(n, DbscanParams { eps: 1.0, min_pts: 3 }, |_, _| {
+        let labels = dbscan(n, 1.0, 3, |_, _| {
             dist_calls += 1;
             0.0
         });
@@ -276,7 +246,7 @@ mod tests {
             .map(|i| if i < 20 { (i / 10) as f64 * 50.0 + (i % 10) as f64 * 0.3 } else { 1000.0 + i as f64 * 25.0 })
             .collect();
         let mut dist_calls = 0usize;
-        let labels = dbscan(pts.len(), DbscanParams { eps: 0.5, min_pts: 3 }, |a, b| {
+        let labels = dbscan(pts.len(), 0.5, 3, |a, b| {
             dist_calls += 1;
             (pts[a] - pts[b]).abs()
         });
@@ -337,7 +307,7 @@ mod tests {
 
         seacma_util::forall!(64, |rng| {
             let pts = rng.vec_of(0, 40, |r| r.f64_range(0.0, 30.0));
-            let got = dbscan(pts.len(), DbscanParams { eps: 1.5, min_pts: 3 }, |a, b| {
+            let got = dbscan(pts.len(), 1.5, 3, |a, b| {
                 (pts[a] - pts[b]).abs()
             });
             assert_eq!(got, reference_dbscan(&pts, 1.5, 3));

@@ -114,7 +114,7 @@ pub struct HammingIndex {
 
 impl HammingIndex {
     /// Builds the index over `hashes` for DBSCAN radius `eps` (normalized
-    /// Hamming, as in [`DbscanParams::eps`](crate::dbscan::DbscanParams)).
+    /// Hamming, as in [`ClusterParams::eps`](crate::cluster::ClusterParams)).
     pub fn build(hashes: &[Dhash], eps: f64) -> Self {
         Self::build_radius(hashes, radius_for_eps(eps))
     }

@@ -34,6 +34,6 @@ mod noise;
 
 pub use bitmap::Bitmap;
 pub use cluster::{cluster_screenshots, ClusterParams, ScreenshotClusters, ScreenshotPoint};
-pub use dbscan::{dbscan, dbscan_with, DbscanParams, Label, RegionQuery};
+pub use dbscan::{dbscan_with, Label, RegionQuery};
 pub use dhash::{dhash128, hamming, normalized_hamming, Dhash};
 pub use index::HammingIndex;

@@ -6,9 +6,39 @@ use seacma_util::prop::Rng;
 
 use seacma_vision::bitmap::Bitmap;
 use seacma_vision::cluster::{cluster_screenshots, ClusterParams, ScreenshotPoint};
-use seacma_vision::dbscan::{dbscan, dbscan_with, DbscanParams, Label};
+use seacma_vision::dbscan::{dbscan_with, Label, RegionQuery};
 use seacma_vision::dhash::{dhash128, hamming, normalized_hamming, Dhash};
 use seacma_vision::index::HammingIndex;
+
+/// DBSCAN parameters of the naive reference.
+struct DbscanParams {
+    eps: f64,
+    min_pts: usize,
+}
+
+/// The naive region query every indexed path must match: a linear scan
+/// over a pairwise distance closure, O(n) per query.
+struct FnRegion<F> {
+    n: usize,
+    eps: f64,
+    dist: F,
+}
+
+impl<F: FnMut(usize, usize) -> f64> RegionQuery for FnRegion<F> {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn region(&mut self, p: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.n).filter(|&q| (self.dist)(p, q) <= self.eps));
+    }
+}
+
+/// Naive O(n²) DBSCAN over `n` points with pairwise distance `dist`.
+fn dbscan(n: usize, params: DbscanParams, dist: impl FnMut(usize, usize) -> f64) -> Vec<Label> {
+    dbscan_with(&mut FnRegion { n, eps: params.eps, dist }, params.min_pts)
+}
 
 /// A random bitmap with 4–39 pixel sides.
 fn gen_bitmap(rng: &mut Rng) -> Bitmap {

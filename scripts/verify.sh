@@ -104,14 +104,17 @@ echo "benchmark smoke: every gate true, digest pinned, per-phase allocs within b
 # Daemon end-to-end smoke: boot seacmad over the simulated measurement,
 # let the epoch loop drain, query, snapshot — then resume from that
 # snapshot and re-issue the same queries. The two answer transcripts
-# must be byte-identical (the daemon's restart story).
+# must be byte-identical (the daemon's restart story). The last two
+# queries are malformed and must answer the same `{"error":…}` both times.
 snap=$(mktemp) first=$(mktemp) second=$(mktemp)
 trap 'rm -f "$snap" "$first" "$second"' EXIT
 queries='url http://c0-0.club/lp
 dhash 00000000000000000000000000000000
 detect 00000000000000000000000000000000 3 4 phone,survey
 campaign 0
-status'
+status
+detect 00000000000000000000000000000000 phone
+dash x'
 {
     sleep 2 # every epoch (10 ms each) has closed by now
     printf '%s\n' "$queries"
@@ -122,7 +125,8 @@ printf '%s\nquit\n' "$queries" \
     | cargo run --release --offline -p seacma-daemon --bin seacmad -- \
         --seed 42 --resume "$snap" 2>/dev/null >"$second"
 diff "$first" "$second"
-echo "daemon smoke: resumed answers byte-identical"
+[ "$(grep -c '"error"' "$first")" -eq 2 ]
+echo "daemon smoke: resumed answers byte-identical, both malformed queries answered as errors"
 
 # Report smoke, through `seacma report`. (1) The text report of a seeded
 # quick run must equal the checked-in golden — a drifted Table 1 count,

@@ -9,7 +9,8 @@
 use seacma_core::blacklist::VirusTotal;
 use seacma_core::browser::{BrowserConfig, QuietBrowser, RenderCache};
 use seacma_core::crawler::{visit_publisher_reusing, CrawlPolicy, VisitScratch};
-use seacma_core::milker::trackfeed::{discovery_points, epoch_batches};
+use seacma_core::milker::trackfeed::epoch_batches;
+use seacma_core::milker::MilkingOutcome;
 use seacma_core::pipeline::crawl_end;
 use seacma_core::simweb::{SimDuration, SimTime, UaProfile, Vantage, HOUR};
 use seacma_core::tracker::CampaignTracker;
@@ -29,6 +30,21 @@ fn tiny_config(seed: u64, workers: usize) -> PipelineConfig {
     c.milking.lookup_tail = SimDuration::from_days(1);
     c.max_milking_sources = 40;
     c
+}
+
+/// The string-keyed milking feed the symbol path must match: one
+/// `(first_seen, point)` per discovery, its carried hash and its domain.
+fn string_feed(milking: &MilkingOutcome) -> Vec<(SimTime, ScreenshotPoint)> {
+    milking
+        .discoveries
+        .iter()
+        .map(|d| (d.first_seen, ScreenshotPoint::new(d.dhash, d.domain.clone())))
+        .collect()
+}
+
+/// Virtual days in the milking window: one tracker epoch each.
+fn milking_days(config: &PipelineConfig) -> u64 {
+    config.milking.duration.minutes().div_ceil(seacma_core::simweb::DAY.minutes()).max(1)
 }
 
 #[test]
@@ -139,12 +155,7 @@ fn batched_trackfeed_rederivation_matches_per_discovery_reference() {
         let seed = rng.range_u64(1, 1 << 40);
         let mut config = tiny_config(seed, rng.range(1, 4));
         config.milking.duration = SimDuration::from_days(rng.range_u64(1, 4));
-        let days = config
-            .milking
-            .duration
-            .minutes()
-            .div_ceil(seacma_core::simweb::DAY.minutes())
-            .max(1);
+        let days = milking_days(&config);
         let pipeline = Pipeline::new(config);
         let discovery = pipeline.discover();
         let mut fast =
@@ -160,7 +171,7 @@ fn batched_trackfeed_rederivation_matches_per_discovery_reference() {
         let mut vt = VirusTotal::new(pipeline.world().seed() ^ 0x7A);
         let milking = pipeline.milk(&sources, crawl_end, &mut vt);
 
-        let batched = discovery_points(&milking);
+        let batched = string_feed(&milking);
         let naive: Vec<(SimTime, ScreenshotPoint)> = milking
             .discoveries
             .iter()
@@ -202,6 +213,7 @@ fn tracking_boundaries_match_string_reference_at_any_epoch_split() {
         let mut config = tiny_config(seed, rng.range(1, 4));
         config.crawl_track_epochs = rng.range(1, 9);
         config.milking.duration = SimDuration::from_days(rng.range_u64(1, 4));
+        let days = milking_days(&config);
         let pipeline = Pipeline::new(config);
         let discovery = pipeline.discover();
 
@@ -247,7 +259,7 @@ fn tracking_boundaries_match_string_reference_at_any_epoch_split() {
         let mut vt = VirusTotal::new(pipeline.world().seed() ^ 0x7A);
         let milking = pipeline.milk(&sources, crawl_end, &mut vt);
         let sym_days = pipeline.milking_epoch_sym_batches(&sources, &milking, crawl_end);
-        let str_days = pipeline.milking_epoch_batches(&milking, crawl_end);
+        let str_days = epoch_batches(&string_feed(&milking), crawl_end, days);
         assert_eq!(sym_days.len(), str_days.len());
         for (day, (sb, tb)) in sym_days.iter().zip(&str_days).enumerate() {
             for &(dhash, sym) in sb {
