@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 
 use seacma_util::sym::SymbolArena;
-use seacma_util::{impl_json_enum, impl_json_struct};
 
 use seacma_simweb::det::{det_f64, str_word};
 use seacma_simweb::{SeCategory, SimDuration, SimTime, World};
@@ -488,5 +487,3 @@ mod tests {
         assert_eq!(gsb.lookup(&w.publishers()[0].domain, far), GsbVerdict::NotListed);
     }
 }
-impl_json_struct!(GsbParams { p_detect, spread_days });
-impl_json_enum!(GsbVerdict { Listed, NotListed });

@@ -6,8 +6,6 @@
 //! log, and a virtual clock. Navigation follows redirect chains hop by
 //! hop, logging everything the paper's instrumented Chromium logs.
 
-use seacma_util::impl_json_struct;
-
 use seacma_simweb::{
     det::det_hash,
     ClientProfile, ClickAction, HostResponse, LockTactic, Page, RedirectKind, SimDuration,
@@ -790,5 +788,3 @@ mod tests {
         assert_eq!(s.now(), SimTime(102));
     }
 }
-seacma_util::impl_json_enum!(ScreenshotMode { Off, Hash, Full });
-impl_json_struct!(BrowserConfig { ua, vantage, stealth, bypass_locks, screenshots });

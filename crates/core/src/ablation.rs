@@ -3,7 +3,6 @@
 //! re-clusters a discovery's landing screenshots and is scored against
 //! ground truth.
 
-use seacma_util::impl_json_struct;
 use seacma_util::sym::Sym;
 
 use seacma_browser::{BrowserConfig, QuietBrowser};
@@ -99,4 +98,3 @@ pub fn clustering_ablation(world: &World, discovery: &DiscoveryOutput) -> Vec<Ab
     rows.push(evaluate("hash width", "64-bit".to_string(), &narrow, halved));
     rows
 }
-impl_json_struct!(AblationRow { sweep, setting, clusters, purity, se_recall });

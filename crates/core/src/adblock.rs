@@ -11,8 +11,6 @@
 
 use std::collections::HashSet;
 
-use seacma_util::impl_json_struct;
-
 use seacma_simweb::{SimTime, Url, World};
 
 /// A domain-based ad filter list.
@@ -151,5 +149,3 @@ mod tests {
         }
     }
 }
-impl_json_struct!(FilterList { domains });
-impl_json_struct!(AdblockResult { network, sampled, blocked_fraction });

@@ -2,10 +2,9 @@
 
 use seacma_util::impl_json_struct;
 
-use seacma_crawler::{CrawlPolicy, CrawlSchedule};
+use seacma_crawler::CrawlSchedule;
 use seacma_milker::MilkingConfig;
 use seacma_simweb::{SimDuration, UaProfile, WorldConfig};
-use seacma_tracker::LedgerConfig;
 use seacma_vision::cluster::ClusterParams;
 
 /// Everything that parameterizes one end-to-end measurement.
@@ -13,8 +12,6 @@ use seacma_vision::cluster::ClusterParams;
 pub struct PipelineConfig {
     /// World generation parameters (seed, scale).
     pub world: WorldConfig,
-    /// Per-visit crawl budgets.
-    pub crawl: CrawlPolicy,
     /// Virtual-time crawl schedule (lanes × session length fixes the
     /// crawl span, which must cover several campaign rotation periods for
     /// the θc filter to see multi-domain campaigns).
@@ -25,10 +22,6 @@ pub struct PipelineConfig {
     /// milking simulate phase (0 ⇒ available parallelism). Both are
     /// byte-identical at any worker count; clustering is sequential.
     pub workers: usize,
-    /// Fraction of the residential (cloaking-network) pool actually
-    /// visited — the paper managed 11,182 of 34,068 sites over
-    /// residential links.
-    pub residential_visit_fraction: f64,
     /// Clustering parameters (dhash DBSCAN + θc).
     pub clustering: ClusterParams,
     /// Milking cadence and measurement windows.
@@ -39,24 +32,19 @@ pub struct PipelineConfig {
     /// (contiguous prefix chunks of the flattened landing order, so the
     /// final tracker snapshot equals the batch discovery clustering).
     pub crawl_track_epochs: usize,
-    /// Dormancy/death thresholds for the campaign lifecycle ledger.
-    pub track_ledger: LedgerConfig,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
             world: WorldConfig::default(),
-            crawl: CrawlPolicy::default(),
             schedule: CrawlSchedule::default(),
             uas: UaProfile::ALL.to_vec(),
             workers: 0,
-            residential_visit_fraction: 0.33,
             clustering: ClusterParams::default(),
             milking: MilkingConfig::default(),
             max_milking_sources: 505,
             crawl_track_epochs: 4,
-            track_ledger: LedgerConfig::default(),
         }
     }
 }
@@ -235,14 +223,11 @@ mod tests {
 }
 impl_json_struct!(PipelineConfig {
     world,
-    crawl,
     schedule,
     uas,
     workers,
-    residential_visit_fraction,
     clustering,
     milking,
     max_milking_sources,
     crawl_track_epochs,
-    track_ledger,
 });

@@ -19,7 +19,6 @@
 use seacma_detect::{PageObservation, PageSignals};
 use seacma_graph::chain_third_party_e2lds;
 use seacma_simweb::{ClientProfile, World};
-use seacma_util::impl_json_struct;
 
 use seacma_crawler::LandingRecord;
 
@@ -31,7 +30,6 @@ use crate::pipeline::DiscoveryOutput;
 /// ```
 /// use seacma_core::detecteval::EvalObservation;
 /// use seacma_detect::{PageObservation, PageSignals};
-/// use seacma_util::json;
 /// use seacma_vision::dhash::Dhash;
 ///
 /// let e = EvalObservation {
@@ -39,8 +37,8 @@ use crate::pipeline::DiscoveryOutput;
 ///     truth_attack: true,
 ///     truth_campaign: Some(3),
 /// };
-/// let text = json::to_string(&e);
-/// assert_eq!(json::from_str::<EvalObservation>(&text).unwrap(), e);
+/// assert_eq!(e.obs.dhash, Dhash(7));
+/// assert_eq!(e.truth_campaign, Some(3));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalObservation {
@@ -52,8 +50,6 @@ pub struct EvalObservation {
     /// landing, when one did.
     pub truth_campaign: Option<u32>,
 }
-
-impl_json_struct!(EvalObservation { obs, truth_attack, truth_campaign });
 
 /// The structural signals of one crawled landing: chain counts from the
 /// record's redirect hops and involved-URL set, document tells from

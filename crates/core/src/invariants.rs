@@ -20,7 +20,6 @@ use std::collections::HashSet;
 
 use seacma_graph::NetworkPattern;
 use seacma_simweb::Url;
-use seacma_util::impl_json_struct;
 
 /// Minimum invariant length considered meaningful (shorter strings are
 /// too likely to match unrelated code).
@@ -233,5 +232,3 @@ mod tests {
         assert!(toks.iter().any(|t| t.contains("_invariant_")));
     }
 }
-impl_json_struct!(MinedPattern { js_token, url_token });
-impl_json_struct!(MinedNetwork { network, mined, pool_match });

@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use seacma_util::impl_json_struct;
-
 use seacma_graph::{Attribution, NetworkPattern};
 use seacma_simweb::search::SourceSearch;
 use seacma_simweb::World;
@@ -160,4 +158,3 @@ mod tests {
         assert!(!is_generic_token("/eroadv/"));
     }
 }
-impl_json_struct!(NewNetworkDiscovery { unknown_attacks, new_patterns, new_publishers });

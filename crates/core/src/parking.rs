@@ -12,8 +12,6 @@
 //! The detector re-visits a cluster's representative landing and scores
 //! structural features — it never consults the simulator's ground truth.
 
-use seacma_util::impl_json_struct;
-
 use seacma_browser::{BrowserConfig, BrowserSession};
 use seacma_crawler::LandingRecord;
 use seacma_simweb::{ElementKind, Page, Vantage, World};
@@ -213,11 +211,3 @@ mod tests {
         assert!(!ParkingFeatures::of(&page).is_parked());
     }
 }
-impl_json_struct!(ParkingFeatures { no_scripts, no_interactive, placeholder_title, inert });
-impl_json_struct!(ParkingConfusion {
-    parked_filtered,
-    parked_missed,
-    other_benign_filtered,
-    campaigns_filtered,
-    kept,
-});

@@ -3,20 +3,24 @@
 use seacma_util::sym::{SharedArena, Sym};
 
 use seacma_blacklist::{GsbService, VirusTotal};
-use seacma_crawler::{CrawlDataset, CrawlFarm, LandingRecord};
+use seacma_crawler::{CrawlDataset, CrawlFarm, CrawlPolicy, LandingRecord};
 use seacma_graph::{Attribution, Attributor, NetworkPattern};
 use seacma_milker::{
     validate_candidates, Milker, MilkingCandidate, MilkingOutcome, MilkingSource,
 };
 use seacma_simweb::search::SourceSearch;
 use seacma_simweb::{det, PublisherId, SimTime, Vantage, World, DAY};
-use seacma_tracker::{CampaignTracker, EpochSummary, TrackerConfig};
+use seacma_tracker::{CampaignTracker, EpochSummary, LedgerConfig, TrackerConfig};
 use seacma_vision::cluster::{cluster_sym_columns_parallel, ScreenshotClusters, ScreenshotPoint};
 use seacma_vision::dhash::Dhash;
 
 use crate::config::PipelineConfig;
 use crate::label::{label_clusters, ClusterLabel};
 use crate::newnet::{discover_networks, NewNetworkDiscovery};
+
+/// Fraction of the residential (cloaking-network) pool actually visited —
+/// the paper managed 11,182 of 34,068 sites over residential links.
+const RESIDENTIAL_VISIT_FRACTION: f64 = 0.33;
 
 /// Output of the crawl phase alone (stages ②–③): the reversed pools and
 /// the merged dataset, before clustering. Produced by
@@ -194,19 +198,18 @@ impl Pipeline {
         let (institutional_pool, residential_pool) = self.reverse_publishers();
 
         // Residential bandwidth cap (paper: 11,182 of 34,068 visited).
-        let n_res = ((residential_pool.len() as f64) * self.config.residential_visit_fraction)
-            .round() as usize;
+        let n_res = ((residential_pool.len() as f64) * RESIDENTIAL_VISIT_FRACTION).round() as usize;
         let residential_sample: Vec<PublisherId> = residential_pool
             .iter()
             .copied()
             .filter(|p| {
                 det::det_f64(&[self.world.seed(), 0x2E5, u64::from(p.0)])
-                    < self.config.residential_visit_fraction
+                    < RESIDENTIAL_VISIT_FRACTION
             })
             .take(n_res.max(1))
             .collect();
 
-        let farm = CrawlFarm::new(&self.world, self.config.workers, self.config.crawl);
+        let farm = CrawlFarm::new(&self.world, self.config.workers, CrawlPolicy::default());
         let mut crawl = farm.crawl(
             &institutional_pool,
             &self.config.uas,
@@ -314,7 +317,7 @@ impl Pipeline {
     /// snapshots and the offline batch pipeline requires both sides to use
     /// exactly this configuration.
     pub fn tracker_config(&self) -> TrackerConfig {
-        TrackerConfig { params: self.config.clustering, ledger: self.config.track_ledger }
+        TrackerConfig { params: self.config.clustering, ledger: LedgerConfig::default() }
     }
 
     /// Pipeline-as-library entry point for epoch schedulers: the per-epoch

@@ -7,8 +7,6 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use seacma_util::impl_json_struct;
-
 use seacma_blacklist::GsbService;
 use seacma_graph::Attribution;
 use seacma_milker::downloads::DownloadStats;
@@ -639,17 +637,3 @@ mod tests {
         assert_eq!(b.total(), 5);
     }
 }
-impl_json_struct!(Table1Row {
-    category,
-    se_attacks,
-    attack_domains,
-    campaigns,
-    gsb_domain_pct,
-    gsb_campaign_pct,
-});
-impl_json_struct!(Table2Row { category, publishers, pct });
-impl_json_struct!(Table3Row { network, network_domains, landing_pages, se_pages, se_pct });
-impl_json_struct!(Table4Row { group, domains, gsb_init_pct, gsb_final_pct });
-impl_json_struct!(ClusterBreakdown { se_campaigns, parked, stock, shortener, spurious, other });
-impl_json_struct!(EthicsReport { cpm_usd, legit_domains, legit_clicks, worst, mean_clicks });
-impl_json_struct!(FunnelRow { stage, quantity, count });

@@ -240,5 +240,3 @@ impl_json_struct!(LandingRecord {
     t,
     truth_is_attack,
 });
-impl_json_struct!(SiteVisit { publisher, ua, vantage, started, landings, clicks, load_failed });
-impl_json_struct!(CrawlDataset { visits });

@@ -1,6 +1,5 @@
 //! Single-site visit logic: the click loop.
 
-use seacma_util::impl_json_struct;
 use seacma_util::sym::SymbolArena;
 
 use seacma_browser::{BrowserConfig, BrowserSession, EventLog, NavError, RenderCache};
@@ -356,4 +355,3 @@ mod tests {
         }
     }
 }
-impl_json_struct!(CrawlPolicy { max_clicks, max_ads, timeout });

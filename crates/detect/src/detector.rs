@@ -34,7 +34,7 @@
 //! [`oracle::linear_verdict`](crate::oracle::linear_verdict) is pinned by
 //! the forall suite.
 
-use seacma_util::{impl_json_enum, impl_json_struct};
+use seacma_util::impl_json_enum;
 use seacma_vision::dhash::Dhash;
 use seacma_vision::index::{radius_for_eps, HammingIndex};
 
@@ -299,7 +299,6 @@ impl Detector {
     }
 }
 
-impl_json_struct!(DetectorConfig { eps, escalation_bits, feature_threshold });
 impl_json_enum!(Verdict {
     Campaign { campaign: u32, distance: u32, score: u32 },
     NearCampaign { campaign: u32, distance: u32, score: u32 },

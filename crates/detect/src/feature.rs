@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 
 use seacma_browser::{EventLog, EventRef};
 use seacma_simweb::Page;
-use seacma_util::impl_json_struct;
 use seacma_vision::dhash::Dhash;
 
 /// Redirect-chain length at or above which a load looks trafficked
@@ -167,17 +166,6 @@ pub struct PageObservation {
     pub signals: PageSignals,
 }
 
-impl_json_struct!(PageSignals {
-    redirect_hops,
-    third_party_e2lds,
-    scam_phone,
-    survey_gateway,
-    locking,
-    notification_prompt,
-    auto_download,
-});
-impl_json_struct!(PageObservation { dhash, signals });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,25 +212,5 @@ mod tests {
         let s = PageSignals::from_page_load(&log, &lp("x.club"), "x.club");
         assert!(s.notification_prompt);
         assert_eq!(s.score(), 1);
-    }
-
-    #[test]
-    fn observation_json_roundtrip() {
-        use seacma_util::json;
-        let obs = PageObservation {
-            dhash: Dhash(0xDEAD_BEEF),
-            signals: PageSignals {
-                redirect_hops: 5,
-                third_party_e2lds: 2,
-                scam_phone: true,
-                survey_gateway: false,
-                locking: true,
-                notification_prompt: false,
-                auto_download: true,
-            },
-        };
-        let s = json::to_string(&obs);
-        let back: PageObservation = json::from_str(&s).unwrap();
-        assert_eq!(back, obs);
     }
 }

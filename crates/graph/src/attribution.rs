@@ -7,8 +7,6 @@
 //! attacks are the raw material for discovering new ad networks (the paper
 //! found Ero Advertising, Yllix and AdCenter this way, §4.4).
 
-use seacma_util::{impl_json_enum, impl_json_struct};
-
 use seacma_simweb::Url;
 
 use crate::backtrack::BacktrackGraph;
@@ -172,8 +170,3 @@ mod tests {
         assert_eq!(at.attribute_urls(none.iter()), Attribution::Unknown);
     }
 }
-impl_json_struct!(NetworkPattern { name, url_invariant });
-impl_json_enum!(Attribution {
-    Known(String),
-    Unknown,
-});

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 
 use seacma_util::sym::Interner;
-use seacma_util::{impl_json_enum, impl_json_struct};
 
 use seacma_browser::{EventLog, EventRef};
 use seacma_simweb::{RedirectKind, Url};
@@ -453,27 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_survives_interning_and_roundtrips() {
-        use seacma_util::json;
-        let g = BacktrackGraph::from_log(&figure3_log());
-        let text = json::to_string(&g);
-        // External shape: URL-keyed maps, exactly as before interning.
-        let v = json::parse(&text).expect("graph serializes to valid json");
-        assert!(v.get("parent").is_some() && v.get("scripts").is_some());
-        let back: BacktrackGraph = json::from_str(&text).expect("graph parses back");
-        let attack = u("live6nmld10.club", "/landing/idx.php");
-        assert_eq!(back.len(), g.len());
-        assert_eq!(back.backtrack(&attack), g.backtrack(&attack));
-        assert_eq!(back.involved_urls(&attack), g.involved_urls(&attack));
-        for step in g.backtrack(&attack) {
-            assert_eq!(
-                back.scripts_of(&step.url).collect::<Vec<_>>(),
-                g.scripts_of(&step.url).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
     fn repeated_visits_keep_most_recent_parent() {
         let mut log = EventLog::new();
         let a = u("a.com", "/");
@@ -483,65 +461,5 @@ mod tests {
         log.redirected(&b, &c, RedirectKind::JsLocation);
         let g = BacktrackGraph::from_log(&log);
         assert_eq!(g.parent_of(&c), Some((&b, EdgeKind::Redirect(RedirectKind::JsLocation))));
-    }
-}
-impl_json_enum!(EdgeKind {
-    Redirect(RedirectKind),
-    WindowOpen,
-    UserClick,
-    ScriptInclude,
-});
-impl_json_struct!(PathStep { url, via });
-
-// The JSON shape predates URL interning and must stay stable: an object
-// with URL-keyed `parent` and `scripts` maps. The symbol table is an
-// in-memory representation detail, so serialization projects edges back
-// onto URLs and parsing re-interns them.
-impl seacma_util::json::ToJson for BacktrackGraph {
-    fn to_json(&self) -> seacma_util::json::Value {
-        let parent: HashMap<Url, (Url, EdgeKind)> = self
-            .parent
-            .iter()
-            .map(|(&c, &(p, k))| (self.url(c).clone(), (self.url(p).clone(), k)))
-            .collect();
-        let scripts: HashMap<Url, Vec<Url>> = self
-            .scripts
-            .iter()
-            .map(|(&d, ss)| {
-                (self.url(d).clone(), ss.iter().map(|&s| self.url(s).clone()).collect())
-            })
-            .collect();
-        seacma_util::json::Value::Obj(vec![
-            ("parent".to_string(), seacma_util::json::ToJson::to_json(&parent)),
-            ("scripts".to_string(), seacma_util::json::ToJson::to_json(&scripts)),
-        ])
-    }
-}
-
-impl seacma_util::json::FromJson for BacktrackGraph {
-    fn from_json(
-        v: &seacma_util::json::Value,
-    ) -> Result<Self, seacma_util::json::JsonError> {
-        use seacma_util::json::{FromJson, JsonError};
-        if v.as_object().is_none() {
-            return Err(JsonError::expected("object for BacktrackGraph", v));
-        }
-        let parent: HashMap<Url, (Url, EdgeKind)> = FromJson::from_json(
-            v.get("parent").ok_or_else(|| JsonError::missing_field("parent"))?,
-        )?;
-        let scripts: HashMap<Url, Vec<Url>> = FromJson::from_json(
-            v.get("scripts").ok_or_else(|| JsonError::missing_field("scripts"))?,
-        )?;
-        let mut g = BacktrackGraph::default();
-        for (child, (par, kind)) in &parent {
-            let (c, p) = (g.intern(child), g.intern(par));
-            g.parent.insert(c, (p, *kind));
-        }
-        for (doc, srcs) in &scripts {
-            let d = g.intern(doc);
-            let ids = srcs.iter().map(|s| g.intern(s)).collect();
-            g.scripts.insert(d, ids);
-        }
-        Ok(g)
     }
 }

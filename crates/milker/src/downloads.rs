@@ -102,4 +102,3 @@ mod tests {
     }
 }
 impl_json_struct!(MilkedFile { payload, page, t, known_at_submit, initial, final_report });
-impl_json_struct!(DownloadStats { total, known_at_submit, finally_malicious, flagged_15_plus });

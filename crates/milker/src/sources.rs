@@ -6,8 +6,6 @@
 //! re-visits each `(URL, UA)` candidate and compares the landing
 //! screenshot's dhash against the campaign's visual representative.
 
-use seacma_util::impl_json_struct;
-
 use seacma_browser::{BrowserConfig, BrowserSession, RenderCache};
 use seacma_simweb::{SimTime, UaProfile, Url, Vantage, World};
 use seacma_vision::dhash::{hamming, Dhash};
@@ -193,5 +191,3 @@ mod tests {
         assert!(validate_candidates(&w, cands, SimTime::EPOCH).is_empty());
     }
 }
-impl_json_struct!(MilkingCandidate { url, ua, cluster, reference });
-impl_json_struct!(MilkingSource { url, ua, cluster, reference });

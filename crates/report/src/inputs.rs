@@ -21,7 +21,6 @@ use seacma_core::report::{
 use seacma_core::simweb::{SimTime, Url, World};
 use seacma_core::tracker::LifeState;
 use seacma_core::{DiscoveryOutput, Pipeline, PipelineRun};
-use seacma_util::impl_json_struct;
 use seacma_util::json::{self, Value};
 
 /// One tracked campaign as the analyses see it: the lifecycle ledger's
@@ -322,45 +321,6 @@ pub fn load_bench_dir(dir: &Path) -> Vec<BenchPoint> {
     points
 }
 
-impl_json_struct!(CampaignObs {
-    id,
-    state,
-    qualified,
-    members,
-    domains,
-    birth_epoch,
-    last_growth_epoch,
-});
-impl_json_struct!(BenchPoint { series, name, metric, value });
-impl_json_struct!(ReportInputs {
-    seed,
-    epoch,
-    campaigns,
-    cluster_sizes,
-    gsb_lag_days,
-    gsb_unlisted,
-    campaign_stats,
-    publisher_categories,
-    adnets,
-    milked,
-    cluster_census,
-    ethics,
-    bench,
-    funnel,
-    adblock_filter_entries,
-    adblock,
-    milked_files,
-    scam_phones,
-    survey_gateways,
-    notification_grants,
-    protection_window_days,
-    parking,
-    ablation,
-    timeline_source,
-    timeline,
-    mined,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,28 +397,5 @@ mod tests {
         assert_eq!(rows(&BenchTrajectory, &dir), ["(no data) - - -"]);
         assert_eq!(rows(&OnlineDetection, &dir), detection);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn inputs_json_roundtrip() {
-        let mut i = ReportInputs::new(7);
-        i.campaigns.push(CampaignObs {
-            id: 0,
-            state: LifeState::Dormant,
-            qualified: true,
-            members: 5,
-            domains: 6,
-            birth_epoch: 1,
-            last_growth_epoch: 3,
-        });
-        i.bench.push(BenchPoint {
-            series: "serve-live".into(),
-            name: "query_p99_us".into(),
-            metric: "us".into(),
-            value: 1.25,
-        });
-        let s = json::to_string(&i);
-        let back: ReportInputs = json::from_str(&s).unwrap();
-        assert_eq!(back, i);
     }
 }

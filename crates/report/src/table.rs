@@ -7,8 +7,6 @@
 //! the determinism contract (same inputs ⇒ byte-identical report) reduces
 //! to "cell formatting is a pure function".
 
-use seacma_util::{impl_json_enum, impl_json_struct};
-
 /// One typed table cell. Rendering is locale-free and deterministic:
 /// [`Cell::Fixed`] always prints exactly `decimals` fraction digits.
 ///
@@ -78,9 +76,8 @@ impl Cell {
 /// t.push([Cell::text("fake-av"), Cell::UInt(17)]);
 /// assert_eq!(t.rows().len(), 1);
 /// assert_eq!(t.rows()[0][1].render(), "17");
-/// // Canonical JSON — byte-stable across runs.
-/// let json = seacma_util::json::to_string(&t);
-/// assert!(json.starts_with(r#"{"id":"demo","#));
+/// assert_eq!((t.id(), t.title()), ("demo", "Demo"));
+/// assert_eq!(t.columns(), ["campaign", "domains"]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -186,14 +183,6 @@ impl Table {
     }
 }
 
-impl_json_enum!(Cell {
-    Text(String),
-    UInt(u64),
-    Fixed { value: f64, decimals: u8 },
-    Absent,
-});
-impl_json_struct!(Table { id, title, columns, rows });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,19 +198,6 @@ mod tests {
     fn ragged_rows_are_rejected() {
         let mut t = Table::new("x", "X", &["a", "b"]);
         t.push([Cell::UInt(1)]);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        use seacma_util::json;
-        let mut t = Table::new("rt", "Round trip", &["k", "v"]);
-        t.push([Cell::text("lag"), Cell::fixed(7.5, 2)]);
-        t.push([Cell::text("n"), Cell::UInt(3)]);
-        t.push([Cell::text("total"), Cell::Absent]);
-        let s = json::to_string(&t);
-        let back: Table = json::from_str(&s).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(json::to_string(&back), s);
     }
 
     #[test]

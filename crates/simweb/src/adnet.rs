@@ -7,8 +7,6 @@
 //! ad clicks that lead to SE attacks (col 5), its relative traffic volume
 //! (col 3), its cloaking policy and its anti-bot behaviour.
 
-use seacma_util::{impl_json_newtype, impl_json_struct};
-
 use crate::client::{ClientProfile, Vantage};
 use crate::det::{det_hash, str_word};
 use crate::names::gibberish_label;
@@ -339,19 +337,3 @@ mod tests {
         assert_ne!(n.code_domain(1, 5), n.code_domain(1, 6));
     }
 }
-impl_json_newtype!(AdNetworkId);
-impl_json_struct!(AdNetworkSpec {
-    id,
-    name,
-    seed_listed,
-    code_domain_pool,
-    url_invariant,
-    js_invariant,
-    se_rate,
-    volume_weight,
-    cloaks_nonresidential,
-    checks_webdriver,
-    blocked_by_adblock,
-    adult_focused,
-    uses_exchange,
-});

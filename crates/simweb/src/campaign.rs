@@ -6,7 +6,7 @@
 //! categories, their campaign counts and their rotation behaviour are
 //! calibrated to Tables 1 and 4 of the paper.
 
-use seacma_util::{impl_json_enum, impl_json_newtype, impl_json_struct};
+use seacma_util::impl_json_enum;
 
 use crate::client::{OsClass, UaProfile};
 use crate::det::det_hash;
@@ -404,7 +404,6 @@ mod tests {
         assert_eq!(c.payload_format(UaProfile::ChromeAndroid), FileFormat::Crx);
     }
 }
-impl_json_newtype!(CampaignId);
 impl_json_enum!(SeCategory {
     FakeSoftware,
     Registration,
@@ -412,14 +411,4 @@ impl_json_enum!(SeCategory {
     ChromeNotifications,
     Scareware,
     TechnicalSupport,
-});
-impl_json_struct!(SeCampaign {
-    id,
-    category,
-    skin,
-    family,
-    tds_domain,
-    tds_path,
-    landing_path,
-    weight,
 });

@@ -7,7 +7,7 @@
 //! Chromium so `navigator.webdriver` no longer betrays DevTools automation.
 //! All three axes are captured here and threaded through every fetch.
 
-use seacma_util::{impl_json_enum, impl_json_struct};
+use seacma_util::impl_json_enum;
 use std::fmt;
 
 /// Operating-system class the client claims to run.
@@ -57,35 +57,6 @@ impl UaProfile {
     /// fake-lottery campaigns only serve mobile clients).
     pub fn is_mobile(self) -> bool {
         matches!(self, UaProfile::ChromeAndroid)
-    }
-
-    /// The full user-agent string sent with requests.
-    pub fn user_agent(self) -> &'static str {
-        match self {
-            UaProfile::ChromeMac => {
-                "Mozilla/5.0 (Macintosh; Intel Mac OS X 10_13_4) AppleWebKit/537.36 \
-                 (KHTML, like Gecko) Chrome/66.0.3359.139 Safari/537.36"
-            }
-            UaProfile::ChromeAndroid => {
-                "Mozilla/5.0 (Linux; Android 8.0; Pixel 2) AppleWebKit/537.36 \
-                 (KHTML, like Gecko) Chrome/65.0.3325.109 Mobile Safari/537.36"
-            }
-            UaProfile::Ie10Windows => {
-                "Mozilla/5.0 (compatible; MSIE 10.0; Windows NT 6.2; Trident/6.0)"
-            }
-            UaProfile::Edge12Windows => {
-                "Mozilla/5.0 (Windows NT 10.0) AppleWebKit/537.36 (KHTML, like Gecko) \
-                 Chrome/42.0.2311.135 Safari/537.36 Edge/12.246"
-            }
-        }
-    }
-
-    /// Emulated viewport in CSS pixels, `(width, height)`.
-    pub fn viewport(self) -> (u32, u32) {
-        match self {
-            UaProfile::ChromeAndroid => (412, 732),
-            _ => (1366, 768),
-        }
     }
 
     /// Stable numeric id for deterministic hashing.
@@ -187,20 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn mobile_viewport_is_narrow() {
-        let (w, _) = UaProfile::ChromeAndroid.viewport();
-        let (dw, _) = UaProfile::ChromeMac.viewport();
-        assert!(w < dw / 2);
-    }
-
-    #[test]
-    fn ua_strings_distinct() {
-        use std::collections::HashSet;
-        let uas: HashSet<_> = UaProfile::ALL.iter().map(|u| u.user_agent()).collect();
-        assert_eq!(uas.len(), 4);
-    }
-
-    #[test]
     fn indices_distinct() {
         use std::collections::HashSet;
         let ids: HashSet<_> = UaProfile::ALL.iter().map(|u| u.index()).collect();
@@ -216,7 +173,5 @@ mod tests {
         assert_ne!(p.det_words(), n.det_words());
     }
 }
-impl_json_enum!(OsClass { MacOs, Android, Windows });
 impl_json_enum!(UaProfile { ChromeMac, ChromeAndroid, Ie10Windows, Edge12Windows });
 impl_json_enum!(Vantage { Institutional, Residential, Cloud, TorExit });
-impl_json_struct!(ClientProfile { ua, vantage, webdriver_visible });

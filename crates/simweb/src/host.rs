@@ -151,15 +151,3 @@ impl_json_enum!(RedirectKind {
     JsPushState,
     JsSetTimeout,
 });
-impl_json_enum!(HostResponse {
-    Page(Box<Page>),
-    Redirect { to: Url, kind: RedirectKind },
-    NxDomain,
-    Refused,
-});
-impl_json_enum!(LiteResponse {
-    Doc,
-    Redirect { to: Url, kind: RedirectKind },
-    NxDomain,
-    Refused,
-});

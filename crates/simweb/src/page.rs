@@ -1,12 +1,10 @@
 //! The page model the simulated browser renders.
 //!
 //! A [`Page`] carries everything the measurement pipeline observes about a
-//! document: its clickable elements with rendered sizes (the crawler ranks
-//! images/iframes by size, §3.2), the scripts it includes (source-code
-//! search and attribution), its visual appearance, its page-locking
-//! behaviour, notification prompts and interaction-triggered downloads.
-
-use seacma_util::{impl_json_enum, impl_json_struct};
+//! document: its clickable elements with rendered sizes (§3.2), the
+//! scripts it includes (source-code search and attribution), its visual
+//! appearance, its page-locking behaviour, notification prompts and
+//! interaction-triggered downloads.
 
 use crate::payload::FilePayload;
 use crate::url::Url;
@@ -67,13 +65,6 @@ pub struct Element {
     /// download buttons). Ad-network listeners are modelled at page level —
     /// see [`Page::ad_click_chain`].
     pub action: ClickAction,
-}
-
-impl Element {
-    /// Rendered area — the crawler's ranking key.
-    pub fn area(&self) -> u64 {
-        u64::from(self.width) * u64::from(self.height)
-    }
 }
 
 /// A script included by the page.
@@ -140,32 +131,9 @@ impl Page {
         self.ad_click_chain.get(k)
     }
 
-    /// Elements sorted by descending rendered area — the crawler's click
-    /// candidate order.
-    pub fn elements_by_area(&self) -> Vec<(usize, &Element)> {
-        let mut v: Vec<(usize, &Element)> = self.elements.iter().enumerate().collect();
-        v.sort_by_key(|(i, e)| (std::cmp::Reverse(e.area()), *i));
-        v
-    }
-
     /// Whether any lock tactic is active.
     pub fn is_locking(&self) -> bool {
         !self.locking.is_empty()
-    }
-
-    /// Concatenated page source: element markup plus script bodies. This is
-    /// what the PublicWWW-style search engine indexes.
-    pub fn source_text(&self) -> String {
-        let mut s = String::new();
-        for e in &self.elements {
-            s.push_str(&format!("<{:?} w={} h={}/>\n", e.kind, e.width, e.height));
-        }
-        for sc in &self.scripts {
-            s.push_str(&format!("<script src=\"{}\">\n", sc.src));
-            s.push_str(&sc.source);
-            s.push('\n');
-        }
-        s
     }
 }
 
@@ -190,17 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn area_ranking_is_descending_and_stable() {
-        let p = page_with_elements();
-        let ranked = p.elements_by_area();
-        let areas: Vec<u64> = ranked.iter().map(|(_, e)| e.area()).collect();
-        assert!(areas.windows(2).all(|w| w[0] >= w[1]));
-        // Equal areas tie-break by DOM order.
-        assert_eq!(ranked[0].0, 1);
-        assert_eq!(ranked[1].0, 2);
-    }
-
-    #[test]
     fn ad_chain_pops_in_order() {
         let mut p = page_with_elements();
         p.ad_click_chain = vec![
@@ -213,19 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn source_text_contains_scripts() {
-        let mut p = page_with_elements();
-        p.scripts.push(Script {
-            src: Url::http("cdn.adnet.com", "/tag.min.js"),
-            source: "var _pop_cfg = {zone: 42};".into(),
-        });
-        let src = p.source_text();
-        assert!(src.contains("tag.min.js"));
-        assert!(src.contains("_pop_cfg"));
-        assert!(src.contains("Iframe"));
-    }
-
-    #[test]
     fn locking_flag() {
         let mut p = page_with_elements();
         assert!(!p.is_locking());
@@ -233,27 +177,3 @@ mod tests {
         assert!(p.is_locking());
     }
 }
-impl_json_enum!(ElementKind { Image, Iframe, Div, Button });
-impl_json_enum!(ClickAction {
-    None,
-    OpenTab(Url),
-    Navigate(Url),
-    Download(FilePayload),
-    AllowNotifications,
-});
-impl_json_enum!(LockTactic { ModalDialogLoop, AuthDialogStorm, OnBeforeUnload });
-impl_json_struct!(Element { kind, width, height, action });
-impl_json_struct!(Script { src, source });
-impl_json_struct!(Page {
-    url,
-    title,
-    elements,
-    scripts,
-    visual,
-    ad_click_chain,
-    locking,
-    notification_prompt,
-    auto_download,
-    scam_phone,
-    survey_gateway,
-});

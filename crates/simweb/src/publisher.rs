@@ -5,7 +5,7 @@
 //! Table 2 of the paper; popularity ranks include a handful of top-1,000
 //! and top-10,000 sites (§4.3).
 
-use seacma_util::{impl_json_enum, impl_json_newtype, impl_json_struct};
+use seacma_util::impl_json_newtype;
 
 use crate::adnet::AdNetworkId;
 use crate::det::str_word;
@@ -225,26 +225,3 @@ mod tests {
     }
 }
 impl_json_newtype!(PublisherId);
-impl_json_enum!(SiteCategory {
-    Suspicious,
-    Pornography,
-    WebHosting,
-    Entertainment,
-    PersonalSites,
-    MaliciousSources,
-    DynamicDns,
-    Technology,
-    Piracy,
-    Games,
-    TvVideoStreams,
-    Phishing,
-    Business,
-    AdultMature,
-    Sports,
-    Education,
-    SocialNetworking,
-    Placeholders,
-    Health,
-    DailyLiving,
-});
-impl_json_struct!(PublisherSite { id, domain, category, rank, networks, stale });

@@ -214,12 +214,3 @@ mod tests {
     }
 }
 impl_json_struct!(Url { scheme, host, path, query });
-
-impl seacma_util::json::JsonKey for Url {
-    fn to_key(&self) -> String {
-        self.to_string()
-    }
-    fn from_key(k: &str) -> Result<Self, seacma_util::json::JsonError> {
-        k.parse().map_err(|e: ParseUrlError| seacma_util::json::JsonError::msg(e.to_string()))
-    }
-}

@@ -10,8 +10,6 @@
 //! (parked pages, stock adult images, URL-shortener interstitials, failed
 //! loads) are modelled as shared templates across unrelated domains.
 
-use seacma_util::impl_json_enum;
-
 use seacma_vision::bitmap::{Bitmap, DEFAULT_HEIGHT, DEFAULT_WIDTH};
 use seacma_vision::dhash::{dhash128_noised, Dhash};
 
@@ -554,17 +552,3 @@ mod tests {
         }
     }
 }
-impl_json_enum!(VisualTemplate {
-    FakeSoftware { skin: u16 },
-    Scareware { skin: u16 },
-    TechSupport { skin: u16 },
-    Lottery { skin: u16 },
-    ChromeNotification { skin: u16 },
-    Registration { skin: u16 },
-    Parked { provider: u16 },
-    StockAdult { image: u16 },
-    ShortenerFrame { service: u16 },
-    LoadError,
-    BenignLanding { style: u64 },
-    PublisherHome { style: u64 },
-});

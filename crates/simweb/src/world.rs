@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use seacma_util::{impl_json_enum, impl_json_struct};
+use seacma_util::impl_json_struct;
 
 use crate::adnet::{standard_networks, AdNetworkId, AdNetworkSpec};
 use crate::campaign::{CampaignId, SeCampaign, SeCategory};
@@ -996,9 +996,4 @@ impl_json_struct!(WorldConfig {
     confounder_rate,
     error_rate,
     stale_fraction,
-});
-impl_json_enum!(Confounder {
-    Parked { provider: u16 },
-    StockAdult { image: u16 },
-    Shortener { service: u16 },
 });

@@ -463,8 +463,9 @@ impl ClustererState {
     /// `u`'s component root (no larger than `u`, itself a root);
     /// `core[u]` holds exactly when `neighbor_count[u]` reached `min_pts`;
     /// every `core_neighbors` entry names a core point; `originals` are
-    /// non-empty, ascending and below `n_original`, and no original index
-    /// is claimed by two points.
+    /// non-empty and ascending, and together claim each index in
+    /// `0..n_original` exactly once (so the counter can neither skip an
+    /// index nor sit where the next insert would overflow it).
     fn validate(&self) -> Result<(), JsonError> {
         let n = self.points.len();
         let columns = [
@@ -496,17 +497,19 @@ impl ClustererState {
                 return bad(u, "core_neighbors names a point that is not core");
             }
             let originals = &self.originals[u];
-            if originals.is_empty()
-                || !originals.windows(2).all(|w| w[0] < w[1])
-                || originals.last().is_some_and(|&o| o >= self.n_original)
-            {
-                return bad(u, "originals are not non-empty, ascending and below n_original");
+            if originals.is_empty() || !originals.windows(2).all(|w| w[0] < w[1]) {
+                return bad(u, "originals are not non-empty and ascending");
             }
         }
         let mut claimed: Vec<u32> = self.originals.iter().flatten().copied().collect();
         claimed.sort_unstable();
-        if let Some(w) = claimed.windows(2).find(|w| w[0] == w[1]) {
-            return Err(JsonError::msg(format!("two clusterer points claim original {}", w[0])));
+        if claimed.len() != self.n_original as usize
+            || claimed.iter().zip(0..).any(|(&o, i)| o != i)
+        {
+            return Err(JsonError::msg(format!(
+                "clusterer originals do not claim each of 0..{} exactly once",
+                self.n_original
+            )));
         }
         Ok(())
     }

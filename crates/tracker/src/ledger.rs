@@ -495,7 +495,6 @@ impl_json_struct!(RecordState {
     state,
     events
 });
-impl_json_struct!(LedgerEvent { id, event });
 impl_json_struct!(LedgerState { config, records, assign });
 
 #[cfg(test)]

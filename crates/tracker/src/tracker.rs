@@ -282,8 +282,15 @@ impl TrackerState {
     /// ledger assignments that name existing records, records
     /// whose id is their position and whose epochs are ordered —
     /// everything an epoch close or a reputation snapshot indexes or
-    /// subtracts by.
+    /// subtracts by — and counters the next ingest or close can advance
+    /// without overflowing.
     fn validate(&self) -> Result<(), JsonError> {
+        if self.epoch == u32::MAX || self.epoch_ingested > self.clusterer.n_original {
+            return Err(JsonError::msg(
+                "epoch counters out of range (epoch at u32::MAX, or more points ingested \
+                 this epoch than in total)",
+            ));
+        }
         let n = self.clusterer.points.len();
         let records = &self.ledger.records;
         if self.ledger.assign.len() > n
@@ -306,7 +313,6 @@ impl TrackerState {
 }
 
 impl_json_struct!(TrackerConfig { params, ledger });
-impl_json_struct!(EpochSummary { epoch, ingested, clusters, campaigns, events });
 impl_json_struct!(TrackerState { config, clusterer, ledger, epoch, epoch_ingested });
 
 #[cfg(test)]
@@ -348,20 +354,6 @@ mod tests {
         }
         assert_eq!(tracker.epoch(), 3);
         assert_eq!(tracker.points_ingested(), 24);
-    }
-
-    #[test]
-    fn epoch_summary_json_roundtrips() {
-        let mut tracker = CampaignTracker::new(TrackerConfig::default());
-        // One θc-qualified cluster, one below θc: the two counts differ.
-        tracker.ingest_all(campaign_points(0xAAAA_BBBB, 10, 6, "a"));
-        tracker.ingest_all(campaign_points(u128::MAX << 40, 8, 2, "b"));
-        let summary = tracker.end_epoch();
-        assert_eq!((summary.clusters, summary.campaigns), (2, 1));
-        let text = json::to_string(&summary);
-        let back: EpochSummary = json::from_str(&text).expect("summary parses");
-        assert_eq!(back, summary);
-        assert_eq!(json::to_string(&back), text);
     }
 
     #[test]

@@ -371,9 +371,13 @@ fn corrupt_snapshots_are_errors_not_panics() {
 
     let uint = |v: u32| Value::UInt(u128::from(v));
     let set = |path: &[&str], at: usize, v: Value| with_array_edited(base, path, |a| a[at] = v);
+    let replaced = |from: &str, to: &str| {
+        assert_eq!(base.matches(from).count(), 1, "{from} names one place in the fixture");
+        base.replacen(from, to, 1)
+    };
     // In the fixture: point 0 is a core root, 4 and 5 hang under it, 3 is
     // noise, 9 is a border whose one core neighbour is 0; 30 originals,
-    // of which point 4 holds 4 and 25.
+    // of which point 4 holds 4 and 25; epoch 1 is open, 10 points in.
     let mut hostile: Vec<(String, String)> = vec![
         ("parent out of range".into(), set(&["clusterer", "parent"], 0, uint(999_999))),
         ("parent above the point".into(), set(&["clusterer", "parent"], 1, uint(5))),
@@ -400,6 +404,21 @@ fn corrupt_snapshots_are_errors_not_panics() {
         (
             "two points claim one original index".into(),
             set(&["clusterer", "originals"], 5, Value::Arr(vec![uint(25)])),
+        ),
+        // Counters the next ingest or close would overflow, or that run
+        // ahead of the originals the points claim.
+        (
+            "n_original at u32::MAX".into(),
+            replaced("\"n_original\":30", "\"n_original\":4294967295"),
+        ),
+        (
+            "n_original past the claimed originals".into(),
+            replaced("\"n_original\":30", "\"n_original\":31"),
+        ),
+        ("epoch at u32::MAX".into(), replaced("\"epoch\":1,", "\"epoch\":4294967295,")),
+        (
+            "more ingested this epoch than in total".into(),
+            replaced("\"epoch_ingested\":10", "\"epoch_ingested\":31"),
         ),
         (
             "one (dhash, e2LD) pair listed twice".into(),

@@ -1,19 +1,21 @@
 //! World-level symbol interning: append-only arenas mapping repeated
 //! values (domains, e2LDs, URLs) to dense `u32` symbols.
 //!
-//! PR 5 interned URLs per browser log; this module promotes the idea to a
-//! world-level arena shared by the crawler, graph, milker, tracker and
-//! daemon. The contracts that make interning safe under this workspace's
-//! byte-identity discipline:
+//! One world-level arena is shared by the crawler, graph, milker, tracker
+//! and daemon. The contracts that make interning safe under this
+//! workspace's byte-identity discipline:
 //!
 //! * **Append-only.** A symbol, once handed out, never changes meaning.
 //! * **Deterministic first-seen order.** Symbols are assigned in the order
 //!   values are first interned, so two runs that intern the same value
 //!   sequence assign identical symbols — the foundation for the farm's
 //!   worker-count-invariant canonicalization.
-//! * **Byte-identical JSON snapshot.** An arena serializes as the plain
-//!   string array in first-seen order; parsing it back reproduces the
-//!   arena exactly (same symbols, same order).
+//!
+//! An arena is in-memory only and has no JSON form: every artifact that
+//! carries a domain writes the resolved string (the tracker snapshot's
+//! points, the export's landing records), and a resumed tracker re-interns
+//! those strings in snapshot order. Only [`Sym`] itself serializes, as the
+//! bare number.
 //!
 //! [`Interner`] is the generic engine (also used by the backtrack graph
 //! for `Url`-like keys); [`SymbolArena`] is the string specialization
@@ -25,8 +27,6 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
-
-use crate::json::{FromJson, JsonError, ToJson, Value};
 
 /// A dense arena symbol: an index into the arena that assigned it.
 ///
@@ -193,20 +193,16 @@ impl<T: Eq + Hash + Clone> Interner<T> {
 }
 
 /// The world-level string arena: [`Interner<String>`] with a typed
-/// [`Sym`] API and a byte-identical JSON snapshot (a string array in
-/// first-seen order).
+/// [`Sym`] API.
 ///
 /// ```
-/// use seacma_util::json;
 /// use seacma_util::sym::SymbolArena;
 ///
 /// let mut arena = SymbolArena::new();
 /// arena.intern("pub0.com");
 /// arena.intern("evil.club");
 /// arena.intern("pub0.com");
-/// assert_eq!(json::to_string(&arena), r#"["pub0.com","evil.club"]"#);
-/// let back: SymbolArena = json::from_str(&json::to_string(&arena)).unwrap();
-/// assert_eq!(json::to_string(&back), json::to_string(&arena));
+/// assert_eq!(arena.strings(), ["pub0.com", "evil.club"]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SymbolArena {
@@ -248,28 +244,6 @@ impl SymbolArena {
     /// All interned strings, in first-seen (symbol) order.
     pub fn strings(&self) -> &[String] {
         self.inner.items()
-    }
-}
-
-impl ToJson for SymbolArena {
-    fn to_json(&self) -> Value {
-        Value::Arr(self.inner.items().iter().map(|s| Value::Str(s.clone())).collect())
-    }
-}
-
-impl FromJson for SymbolArena {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let strings: Vec<String> = FromJson::from_json(v)?;
-        let mut arena = SymbolArena::new();
-        for (i, s) in strings.iter().enumerate() {
-            let sym = arena.intern(s);
-            if sym.index() != i {
-                return Err(JsonError::msg(format!(
-                    "symbol arena snapshot repeats {s:?} (entry {i})"
-                )));
-            }
-        }
-        Ok(arena)
     }
 }
 
@@ -349,7 +323,6 @@ impl SharedArena {
 mod tests {
     use super::*;
     use crate::forall;
-    use crate::json;
 
     #[test]
     fn symbols_are_first_seen_dense_and_idempotent() {
@@ -361,33 +334,6 @@ mod tests {
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.resolve(b), "b.com");
         assert_eq!(arena.lookup("c.com"), None);
-    }
-
-    #[test]
-    fn json_snapshot_is_first_seen_order_and_roundtrips() {
-        forall!(|g| {
-            let n = g.range(0, 40);
-            let mut arena = SymbolArena::new();
-            let mut seq = Vec::new();
-            for _ in 0..n {
-                // A small alphabet forces repeats; hostile characters
-                // exercise the string escaper.
-                let s = format!("d{}\"\\\n π☂.example", g.range(0, 8));
-                seq.push((arena.intern(&s), s));
-            }
-            let text = json::to_string(&arena);
-            let back: SymbolArena = json::from_str(&text).unwrap();
-            assert_eq!(json::to_string(&back), text, "snapshot roundtrip");
-            for (sym, s) in &seq {
-                assert_eq!(back.resolve(*sym), s, "resolution survives roundtrip");
-            }
-        });
-    }
-
-    #[test]
-    fn snapshot_with_duplicates_is_rejected() {
-        let err = json::from_str::<SymbolArena>(r#"["a","b","a"]"#);
-        assert!(err.is_err());
     }
 
     #[test]
@@ -425,7 +371,7 @@ mod tests {
             let syms_a: Vec<Sym> = seq.iter().map(|s| a.intern(s)).collect();
             let syms_b: Vec<Sym> = seq.iter().map(|s| b.intern(s)).collect();
             assert_eq!(syms_a, syms_b);
-            assert_eq!(json::to_string(&a), json::to_string(&b));
+            assert_eq!(a.strings(), b.strings());
         });
     }
 }

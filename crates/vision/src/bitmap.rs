@@ -6,7 +6,6 @@
 //! 17×8 anyway, and the clustering only needs near-duplicate structure to
 //! survive, not pixel fidelity.
 
-use seacma_util::impl_json_struct;
 use std::fmt;
 
 /// Default screenshot width used by the simulated browser.
@@ -375,4 +374,3 @@ mod tests {
         assert!(lines.iter().all(|l| l.len() == 16));
     }
 }
-impl_json_struct!(Bitmap { width, height, pixels });

@@ -164,6 +164,22 @@ seacma eval --out "$r1" >/dev/null
 diff EVAL_detect.json "$r1"
 echo "eval golden: seacma eval reproduces EVAL_detect.json"
 
+# Export golden: the release of a seeded quick run (`seacma export`: the
+# landing records, campaign clusters, milking outcome and representative
+# screenshots) must reproduce the checked-in checksums, so a change to any
+# codec the release is written through cannot drift it unnoticed.
+# Regenerate after an intended change with
+#   cargo run --release -p seacma-bench --bin seacma -- export --quick --seed 42 --out DIR
+#   (cd DIR && cksum landings.jsonl campaigns.json milking.json screenshots/*.pgm) \
+#       >scripts/export_seed42.cksum
+release=$(mktemp -d)
+trap 'rm -rf "$snap" "$first" "$second" "$txt" "$r1" "$r2" "$release"' EXIT
+seacma export --quick --seed 42 --out "$release" >/dev/null
+(cd "$release" && cksum landings.jsonl campaigns.json milking.json screenshots/*.pgm) \
+    | diff scripts/export_seed42.cksum -
+echo "export golden: seacma export --quick --seed 42 reproduces all" \
+    "$(wc -l <scripts/export_seed42.cksum) checksums in scripts/export_seed42.cksum"
+
 # The rustdoc gate: the public API documents warning-free (intra-doc
 # links resolve, seacma-report's #![deny(missing_docs)] holds).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --quiet

@@ -62,8 +62,8 @@ fn discovery_boundaries_match_string_reference_at_any_worker_count() {
         let ref_discovery = reference.discover();
         assert_eq!(discovery.crawl, ref_discovery.crawl, "crawl dataset diverged");
         assert_eq!(
-            json::to_string(&*discovery.arena.read()),
-            json::to_string(&*ref_discovery.arena.read()),
+            discovery.arena.read().strings(),
+            ref_discovery.arena.read().strings(),
             "arena symbol assignment diverged"
         );
 
@@ -234,8 +234,8 @@ fn tracking_boundaries_match_string_reference_at_any_epoch_split() {
             }
             reference.ingest_all(tb.clone());
             assert_eq!(
-                json::to_string(&fast.end_epoch()),
-                json::to_string(&reference.end_epoch()),
+                fast.end_epoch(),
+                reference.end_epoch(),
                 "crawl epoch {day} summary diverged"
             );
             assert_eq!(
@@ -267,8 +267,8 @@ fn tracking_boundaries_match_string_reference_at_any_epoch_split() {
             }
             reference.ingest_all(tb.clone());
             assert_eq!(
-                json::to_string(&fast.end_epoch()),
-                json::to_string(&reference.end_epoch()),
+                fast.end_epoch(),
+                reference.end_epoch(),
                 "milking day {day} summary diverged"
             );
             assert_eq!(
