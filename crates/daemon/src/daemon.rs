@@ -79,12 +79,14 @@ impl Daemon {
     /// reputation snapshot. Queries in flight keep the previous snapshot;
     /// queries started after this call see the new one.
     ///
-    /// The new snapshot succeeds the published one: its detector index is
-    /// the published snapshot's, cloned and extended by this epoch's
-    /// points ([`Detector::carried_forward`](seacma_detect::Detector::carried_forward)),
-    /// so a close costs the epoch plus a few column clones, not a re-index
-    /// of history. Every answer equals [`ReputationSnapshot::build`] over
-    /// the tracker.
+    /// The tracker's close observes only the clusters this epoch touched
+    /// ([`CampaignTracker::end_epoch`]). The new snapshot succeeds the
+    /// published one: its detector index is the published snapshot's,
+    /// cloned and extended by this epoch's points
+    /// ([`Detector::carried_forward`](seacma_detect::Detector::carried_forward)),
+    /// and its e2LD map is read off the ledger's symbols, so a close costs
+    /// the epoch plus a few column clones, not a re-index of history. Every
+    /// answer equals [`ReputationSnapshot::build`] over the tracker.
     pub fn close_epoch(&mut self) -> EpochSummary {
         let summary = self.tracker.end_epoch();
         let next = ReputationSnapshot::freeze(&self.tracker, Some(&self.cell.load()));

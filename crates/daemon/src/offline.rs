@@ -12,7 +12,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
-use seacma_tracker::{CampaignLedger, ObservedCluster, TrackerConfig};
+use seacma_tracker::{Boundary, CampaignLedger, ObservedCluster, TrackerConfig};
 use seacma_util::sym::SymbolArena;
 use seacma_vision::cluster::ScreenshotPoint;
 use seacma_vision::dbscan::dbscan_with;
@@ -83,18 +83,19 @@ pub fn replay_batches(
         let mut index = HammingIndex::build(&hashes, config.params.eps);
         let labels = dbscan_with(&mut index, config.params.min_pts);
 
-        // Ledger observation input, grouped exactly as the tracker groups
-        // it: ascending members, original-multiplicity weight, sorted
-        // distinct domains.
+        // Ledger observation input, every cluster in batch-id order
+        // (key = batch id): unique size, original-multiplicity weight,
+        // sorted distinct domains; every point counts as moved, so the
+        // ledger's votes come from the member scan alone.
         let n_clusters =
             labels.iter().filter_map(|l| l.cluster_id()).max().map_or(0, |m| m + 1);
-        let mut observed: Vec<ObservedCluster> = (0..n_clusters)
-            .map(|_| ObservedCluster { members: Vec::new(), weight: 0, domains: Vec::new() })
+        let mut observed: Vec<ObservedCluster> = (0..n_clusters as u32)
+            .map(|key| ObservedCluster { key, size: 0, weight: 0, domains: Vec::new() })
             .collect();
         let mut domain_sets: Vec<BTreeSet<&str>> = vec![BTreeSet::new(); n_clusters];
         for (u, l) in labels.iter().enumerate() {
             if let Some(id) = l.cluster_id() {
-                observed[id].members.push(u as u32);
+                observed[id].size += 1;
                 observed[id].weight += originals[u];
                 domain_sets[id].insert(uniq[u].e2ld.as_str());
             }
@@ -104,7 +105,15 @@ pub fn replay_batches(
             // domain-order invariant after interning.
             o.domains = ds.into_iter().map(|d| arena.intern(d)).collect();
         }
-        ledger.observe(e as u32, &observed, uniq.len(), config.params.theta_c, &arena);
+        let moved: Vec<u32> = (0..uniq.len() as u32).collect();
+        let boundary = Boundary {
+            clusters: &observed,
+            moved: &moved,
+            absorbed: &[],
+            key_of: |u: u32| labels[u as usize].cluster_id().map(|id| id as u32),
+            n_unique: uniq.len(),
+        };
+        ledger.observe(e as u32, &boundary, config.params.theta_c, &arena);
 
         let statuses =
             ledger.records().iter().map(|r| CampaignStatus::from_record(r, &arena)).collect();

@@ -14,7 +14,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 use seacma_detect::{Detector, DetectorConfig, PageObservation, Verdict};
 use seacma_simweb::domain::e2ld;
 use seacma_simweb::Url;
-use seacma_tracker::CampaignTracker;
+use seacma_tracker::{CampaignTracker, LifeState};
 use seacma_util::sym::{SharedArena, Sym};
 use seacma_vision::cluster::ScreenshotPoint;
 use seacma_vision::dhash::Dhash;
@@ -77,7 +77,9 @@ impl ReputationSnapshot {
     ///
     /// What this costs: the ledger's assignment column is **cloned**, the
     /// arena is shared by handle (no string copies), the per-campaign
-    /// statuses and the domain map are **rebuilt** (O(campaigns)), and the
+    /// statuses are **rebuilt** (O(campaigns)), the domain map is built
+    /// from the ledger's domain symbols as they are (no string is resolved
+    /// or re-interned), and the
     /// detector's escalated-radius index is **rebuilt from scratch** —
     /// every hash into every band, the dominant term. This is the boot and
     /// resume constructor; [`Daemon::close_epoch`](crate::Daemon::close_epoch)
@@ -88,7 +90,9 @@ impl ReputationSnapshot {
         Self::freeze(tracker, None)
     }
 
-    /// The one place a tracker becomes a snapshot. `prev` only chooses how
+    /// The one place a tracker becomes a snapshot. The e2LD → campaign map
+    /// takes `(symbol, id)` pairs straight from the ledger's records. `prev`
+    /// only chooses how
     /// the detector's index comes to be: given an earlier snapshot of the
     /// same tracker, its index is cloned and extended by the points that
     /// arrived since ([`Detector::carried_forward`]) — O(epoch) inserts
@@ -111,7 +115,14 @@ impl ReputationSnapshot {
                 .map(|r| CampaignStatus::from_record(r, &resolver))
                 .collect()
         };
-        let domains = domain_map(&arena, &statuses);
+        let domains = domain_map(
+            tracker
+                .ledger()
+                .records()
+                .iter()
+                .filter(|r| r.state != LifeState::Merged)
+                .flat_map(|r| r.domains.iter().map(move |&d| (d, r.id))),
+        );
         let qualified = detect_assignments(&assignments, &statuses);
         let config = DetectorConfig::for_eps(tracker.config().params.eps);
         let detector = match prev {
@@ -141,7 +152,12 @@ impl ReputationSnapshot {
         debug_assert_eq!(points.len(), assignments.len());
         let hashes: Vec<Dhash> = points.iter().map(|p| p.dhash).collect();
         let arena = SharedArena::new();
-        let domains = domain_map(&arena, &statuses);
+        let domains = domain_map(
+            statuses
+                .iter()
+                .filter(|s| s.state != LifeState::Merged)
+                .flat_map(|s| s.domains.iter().map(|d| (arena.intern(d), s.id))),
+        );
         let detector = Detector::from_columns(
             &hashes,
             &detect_assignments(&assignments, &statuses),
@@ -251,18 +267,16 @@ fn detect_assignments(
         .collect()
 }
 
-/// Maps each e2LD of a non-merged record to the smallest claiming ledger
-/// id (records scanned in id order). Against a tracker's arena interning
-/// here is idempotent: every status domain came from an ingested point,
-/// so the arena never grows; [`ReputationSnapshot::from_parts`] starts
-/// from an empty arena, which ends up holding exactly the status domains.
-/// Either way growth only adds strings, never changes an existing symbol.
-fn domain_map(arena: &SharedArena, statuses: &[CampaignStatus]) -> HashMap<Sym, u32> {
+/// Maps each e2LD to the smallest ledger id claiming it, given the
+/// `(domain, id)` pairs of the non-merged records in id order.
+/// [`ReputationSnapshot::freeze`] passes the ledger's symbols as they are
+/// (they already resolve against the tracker's arena, which the snapshot
+/// shares); [`ReputationSnapshot::from_parts`] interns its status strings
+/// once into the snapshot's fresh arena.
+fn domain_map(pairs: impl Iterator<Item = (Sym, u32)>) -> HashMap<Sym, u32> {
     let mut domains = HashMap::new();
-    for s in statuses.iter().filter(|s| !matches!(s.state, seacma_tracker::LifeState::Merged)) {
-        for d in &s.domains {
-            domains.entry(arena.intern(d)).or_insert(s.id);
-        }
+    for (d, id) in pairs {
+        domains.entry(d).or_insert(id);
     }
     domains
 }

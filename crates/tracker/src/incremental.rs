@@ -36,12 +36,32 @@
 //! still *move* to an older cluster (and campaign domain counts can
 //! therefore shrink — θc demotion is real, see the ledger).
 //!
+//! # Epoch close: only what the epoch touched
+//!
+//! An epoch close needs each *changed* cluster's size, weight and sorted
+//! domain list, not the labels of every point. So the clusterer keeps, per
+//! component root, an aggregate (unique size, weight, e2LD multiset in
+//! resolved-string order) that unions merge small-into-large, plus a log
+//! of what the open epoch changed: new points, the point a duplicate lands
+//! on, points crossing `min_pts`, and non-core points that gained a core
+//! neighbour are *touched*. The only points that can change cluster
+//! without being touched are **ambiguous** borders — non-core points whose
+//! core neighbours span two or more components: border `x`, adjacent to
+//! components B and C, is labelled C because `rc < rb`; a new core that
+//! unions B into A with `ra < rc` moves `x` to A∪B though nothing adjacent
+//! to C was touched. [`IncrementalClusterer::settle`] places the touched
+//! and ambiguous points again (each point's `home` core says where it is
+//! counted), moves a migrated point's counts from the old cluster to the
+//! new, and reports both, plus the roots unions absorbed — the ledger's
+//! [`Boundary`](crate::ledger::Boundary). Placements are not serialized:
+//! a resumed clusterer touches every point, so its first close is full.
+//!
 //! # Storage: struct-of-arrays over a symbol arena
 //!
 //! Unique points are not stored as `ScreenshotPoint` structs. The dhash
 //! column lives inside the [`HammingIndex`] (one contiguous `u128` slice,
 //! scanned directly by band probes), e2LDs are a parallel [`Sym`] column
-//! into a shared [`SymbolArena`](seacma_util::sym::SymbolArena), and the
+//! into a shared [`SymbolArena`], and the
 //! DBSCAN bookkeeping (neighbour counts, core flags, union-find parents)
 //! are parallel `u32`/`bool` columns. The dedup key is `(u128, Sym)` —
 //! no string hashing or cloning on the hot insert path. Exactness is
@@ -55,13 +75,15 @@ use std::collections::HashMap;
 
 use seacma_util::impl_json_struct;
 use seacma_util::json::JsonError;
-use seacma_util::sym::{SharedArena, Sym};
+use seacma_util::sym::{SharedArena, Sym, SymbolArena};
 use seacma_vision::cluster::{
     assemble_clusters, ClusterParams, ScreenshotClusters, ScreenshotPoint,
 };
 use seacma_vision::dbscan::Label;
 use seacma_vision::dhash::Dhash;
 use seacma_vision::index::HammingIndex;
+
+use crate::ledger::ObservedCluster;
 
 /// Streaming DBSCAN over `(dhash, e2LD)` screenshot points.
 ///
@@ -102,6 +124,104 @@ pub struct IncrementalClusterer {
     scratch2: Vec<usize>,
     /// Threshold crossings of the insert in progress (reused scratch).
     newly_core: Vec<u32>,
+    /// Per point: a core point of the cluster the point is counted in at
+    /// the last [`IncrementalClusterer::settle`] (the point itself when it
+    /// is core), or [`UNPLACED`]. Components only merge, so `find` of it
+    /// stays the point's cluster until the point itself migrates.
+    home: Vec<u32>,
+    /// Size, weight and e2LD multiset of each cluster, keyed by component
+    /// root; merged on union, adjusted at settle.
+    aggs: HashMap<u32, Aggregate>,
+    /// Points whose cluster or weight may have changed since the last
+    /// settle: new points, duplicate targets, threshold crossings, and
+    /// non-core points that gained a core neighbour.
+    touched: Vec<u32>,
+    /// Membership bits of `touched`, so each point is listed once.
+    touched_bits: Vec<u64>,
+    /// Non-core points whose core neighbours spanned two or more
+    /// components at the last settle — the only points a union elsewhere
+    /// can move without touching them.
+    ambiguous: Vec<u32>,
+    /// Roots a union has hung under another root since the last settle.
+    absorbed: Vec<u32>,
+}
+
+/// `home` of a point counted in no cluster (noise, or not yet settled).
+const UNPLACED: u32 = u32::MAX;
+
+/// One cluster's running totals.
+#[derive(Debug, Clone, Default)]
+struct Aggregate {
+    /// Unique points counted in the cluster.
+    size: u32,
+    /// Their original multiplicity.
+    weight: u32,
+    /// e2LD multiset: `(symbol, member count)`, sorted by resolved string,
+    /// so a settle reports a cluster's domain list without sorting it.
+    domains: Vec<(Sym, u32)>,
+    /// Listed among the settle in progress's changed clusters.
+    dirty: bool,
+}
+
+impl Aggregate {
+    /// Adds (`add`) or retracts one member with e2LD `domain` and
+    /// multiplicity `weight`.
+    fn count(&mut self, domain: Sym, weight: u32, add: bool, arena: &SymbolArena) {
+        if add {
+            self.size += 1;
+            self.weight += weight;
+            self.add_domain(domain, 1, arena);
+        } else {
+            self.size -= 1;
+            self.weight -= weight;
+            if let Some(i) = self.domains.iter().position(|&(d, _)| d == domain) {
+                self.domains[i].1 -= 1;
+                if self.domains[i].1 == 0 {
+                    self.domains.remove(i);
+                }
+            }
+        }
+    }
+
+    /// Counts `n` more members with e2LD `domain`. Symbols are found by
+    /// integer compare; only a domain new to the cluster resolves strings,
+    /// to find its place.
+    fn add_domain(&mut self, domain: Sym, n: u32, arena: &SymbolArena) {
+        match self.domains.iter().position(|&(d, _)| d == domain) {
+            Some(i) => self.domains[i].1 += n,
+            None => {
+                let name = arena.resolve(domain);
+                let i = self.domains.partition_point(|&(d, _)| arena.resolve(d) < name);
+                self.domains.insert(i, (domain, n));
+            }
+        }
+    }
+
+    /// Folds `other` in, the smaller domain list into the larger.
+    fn absorb(&mut self, mut other: Aggregate, arena: &SymbolArena) {
+        if self.domains.len() < other.domains.len() {
+            std::mem::swap(&mut self.domains, &mut other.domains);
+        }
+        self.size += other.size;
+        self.weight += other.weight;
+        for (d, n) in other.domains {
+            self.add_domain(d, n, arena);
+        }
+    }
+}
+
+/// What changed since the previous settle (see
+/// [`IncrementalClusterer::settle`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Settled {
+    /// Every cluster whose member set, weight or domain set may have
+    /// changed, ascending by key (the component's minimal core index).
+    pub clusters: Vec<ObservedCluster>,
+    /// Every point that may have joined, left or changed cluster.
+    pub moved: Vec<u32>,
+    /// Former cluster keys whose components a union has merged into
+    /// another since the previous settle.
+    pub absorbed: Vec<u32>,
 }
 
 impl IncrementalClusterer {
@@ -129,6 +249,12 @@ impl IncrementalClusterer {
             scratch: Vec::new(),
             scratch2: Vec::new(),
             newly_core: Vec::new(),
+            home: Vec::new(),
+            aggs: HashMap::new(),
+            touched: Vec::new(),
+            touched_bits: Vec::new(),
+            ambiguous: Vec::new(),
+            absorbed: Vec::new(),
         }
     }
 
@@ -214,7 +340,16 @@ impl IncrementalClusterer {
             Entry::Occupied(e) => {
                 // Exact duplicate pair: multiplicity only, no new unique
                 // point — identical to the batch dedup.
-                self.originals[*e.get() as usize].push(orig);
+                let u = *e.get();
+                self.originals[u as usize].push(orig);
+                let home = self.home[u as usize];
+                if home != UNPLACED {
+                    let root = find(&mut self.parent, home);
+                    if let Some(agg) = self.aggs.get_mut(&root) {
+                        agg.weight += 1;
+                    }
+                }
+                self.touch(u);
                 return None;
             }
             Entry::Vacant(e) => {
@@ -229,6 +364,8 @@ impl IncrementalClusterer {
         self.originals.push(vec![orig]);
         self.parent.push(u as u32);
         self.core_neighbors.push(Vec::new());
+        self.home.push(UNPLACED);
+        self.touch(u as u32);
 
         let mut nb = std::mem::take(&mut self.scratch);
         self.index.neighbours_into(u, &mut nb);
@@ -270,6 +407,7 @@ impl IncrementalClusterer {
         for &c in &newly_core {
             self.core[c as usize] = true;
             self.core_neighbors[c as usize] = Vec::new();
+            self.touch(c);
         }
         let mut nb2 = std::mem::take(&mut self.scratch2);
         for &c in &newly_core {
@@ -281,9 +419,10 @@ impl IncrementalClusterer {
             };
             for &r in region.iter().filter(|&&r| r != c as usize) {
                 if self.core[r] {
-                    union(&mut self.parent, c, r as u32);
+                    self.union(c, r as u32);
                 } else {
                     self.core_neighbors[r].push(c);
+                    self.touch(r as u32);
                 }
             }
         }
@@ -317,18 +456,161 @@ impl IncrementalClusterer {
         }
         // Batch cluster ids ascend with the component's minimal core
         // index, so ranking the distinct roots reproduces them exactly.
-        let mut roots: Vec<u32> = comp.iter().copied().filter(|&r| r != NOISE).collect();
-        roots.sort_unstable();
-        roots.dedup();
+        let mut rank: Vec<u32> = vec![NOISE; n];
+        for &r in comp.iter().filter(|&&r| r != NOISE) {
+            rank[r as usize] = 0;
+        }
+        for (id, r) in rank.iter_mut().filter(|r| **r == 0).enumerate() {
+            *r = id as u32;
+        }
         comp.iter()
-            .map(|&r| {
-                if r == NOISE {
-                    Label::Noise
-                } else {
-                    Label::Cluster(roots.binary_search(&r).expect("root was collected"))
-                }
+            .map(|&r| match rank.get(r as usize) {
+                Some(&id) => Label::Cluster(id as usize),
+                None => Label::Noise,
             })
             .collect()
+    }
+
+    /// Brings the per-cluster totals up to date with everything inserted
+    /// since the last call, and reports what changed — the input an
+    /// epoch close hands the ledger ([`Boundary`](crate::ledger::Boundary)).
+    ///
+    /// Only the touched points and the ambiguous borders are placed again
+    /// (core: its own component; border: the adjacent component with the
+    /// smallest root). A point whose cluster changed is retracted from the
+    /// old totals and added to the new, and both clusters are reported; a
+    /// touched point reports its cluster even when it stayed. Every other
+    /// point's cluster is the component its `home` core sits in, which
+    /// unions keep current. Cost: the touched and ambiguous points, plus a
+    /// copy of each reported cluster's domain list (kept string-sorted, so
+    /// it is its distinct e2LDs, not its members). After a resume every
+    /// point is touched, so the first settle is a full one.
+    pub fn settle(&mut self) -> Settled {
+        let touched = std::mem::take(&mut self.touched);
+        let ambiguous = std::mem::take(&mut self.ambiguous);
+        let todo: Vec<(u32, bool)> = touched
+            .iter()
+            .map(|&u| (u, true))
+            .chain(ambiguous.into_iter().filter(|&u| !self.is_touched(u)).map(|u| (u, false)))
+            .collect();
+        for u in touched {
+            self.touched_bits[u as usize / 64] &= !(1 << (u % 64));
+        }
+
+        let mut dirty: Vec<u32> = Vec::new();
+        let mut moved: Vec<u32> = Vec::new();
+        let arena = self.arena.clone();
+        let arena = arena.read();
+        for (u, touched) in todo {
+            let was = match self.home[u as usize] {
+                UNPLACED => None,
+                home => Some(find(&mut self.parent, home)),
+            };
+            let (home, ambiguous) = self.place(u);
+            let now = (home != UNPLACED).then(|| find(&mut self.parent, home));
+            self.home[u as usize] = home;
+            if ambiguous {
+                self.ambiguous.push(u);
+            }
+            if was == now && !touched {
+                continue;
+            }
+            let (domain, weight) = (self.e2lds[u as usize], self.originals[u as usize].len());
+            for (root, add) in was.map(|r| (r, false)).into_iter().chain(now.map(|r| (r, true))) {
+                let agg = self.aggs.entry(root).or_default();
+                if !agg.dirty {
+                    agg.dirty = true;
+                    dirty.push(root);
+                }
+                if was != now {
+                    agg.count(domain, weight as u32, add, &arena);
+                }
+            }
+            moved.push(u);
+        }
+        dirty.sort_unstable();
+
+        let clusters = dirty
+            .iter()
+            .filter_map(|key| {
+                let agg = self.aggs.get_mut(key)?;
+                agg.dirty = false;
+                let domains = agg.domains.iter().map(|&(d, _)| d).collect();
+                (agg.size > 0).then(|| ObservedCluster {
+                    key: *key,
+                    size: agg.size,
+                    weight: agg.weight,
+                    domains,
+                })
+            })
+            .collect();
+        Settled { clusters, moved, absorbed: std::mem::take(&mut self.absorbed) }
+    }
+
+    /// Logs `u` as touched, once.
+    fn touch(&mut self, u: u32) {
+        let (word, bit) = (u as usize / 64, 1u64 << (u % 64));
+        if word >= self.touched_bits.len() {
+            self.touched_bits.resize(word + 1, 0);
+        }
+        if self.touched_bits[word] & bit == 0 {
+            self.touched_bits[word] |= bit;
+            self.touched.push(u);
+        }
+    }
+
+    /// Whether `u` is logged as touched.
+    fn is_touched(&self, u: u32) -> bool {
+        self.touched_bits.get(u as usize / 64).is_some_and(|w| w & (1 << (u % 64)) != 0)
+    }
+
+    /// The current cluster key (component root) of point `u`, as of the
+    /// last [`IncrementalClusterer::settle`]; `None` for noise.
+    pub fn key_of(&self, u: u32) -> Option<u32> {
+        match self.home.get(u as usize) {
+            Some(&home) if home != UNPLACED => Some(find_ro(&self.parent, home)),
+            _ => None,
+        }
+    }
+
+    /// Where `u` belongs now: itself if core, else the core neighbour with
+    /// the smallest root ([`UNPLACED`] if none) — plus whether its core
+    /// neighbours span more than one component.
+    fn place(&mut self, u: u32) -> (u32, bool) {
+        if self.core[u as usize] {
+            return (u, false);
+        }
+        let (mut best, mut best_root, mut ambiguous) = (UNPLACED, UNPLACED, false);
+        for &q in &self.core_neighbors[u as usize] {
+            let root = find(&mut self.parent, q);
+            ambiguous |= best_root != UNPLACED && root != best_root;
+            if root < best_root {
+                (best, best_root) = (q, root);
+            }
+        }
+        (best, ambiguous)
+    }
+
+    /// Union by minimal root (the surviving root is the smaller index,
+    /// which keeps a set's root its minimal element); the two clusters'
+    /// totals merge under it.
+    fn union(&mut self, a: u32, b: u32) {
+        let ra = find(&mut self.parent, a);
+        let rb = find(&mut self.parent, b);
+        if ra == rb {
+            return;
+        }
+        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        self.parent[hi as usize] = lo;
+        self.absorbed.push(hi);
+        if let Some(gone) = self.aggs.remove(&hi) {
+            match self.aggs.entry(lo) {
+                Entry::Occupied(mut e) => e.get_mut().absorb(gone, &self.arena.read()),
+                Entry::Vacant(e) => {
+                    e.insert(gone);
+                }
+            }
+        }
     }
 
     /// Assembles the current clusters — structurally identical to
@@ -415,7 +697,8 @@ impl IncrementalClusterer {
                 )));
             }
         }
-        Ok(Self {
+        let n = e2lds.len() as u32;
+        let mut clusterer = Self {
             params: state.params,
             arena,
             index,
@@ -430,7 +713,19 @@ impl IncrementalClusterer {
             scratch: Vec::new(),
             scratch2: Vec::new(),
             newly_core: Vec::new(),
-        })
+            // Placements are not serialized: every point is touched, so
+            // the first settle rebuilds them and reports every cluster.
+            home: vec![UNPLACED; n as usize],
+            aggs: HashMap::new(),
+            touched: Vec::new(),
+            touched_bits: Vec::new(),
+            ambiguous: Vec::new(),
+            absorbed: Vec::new(),
+        };
+        for u in 0..n {
+            clusterer.touch(u);
+        }
+        Ok(clusterer)
     }
 }
 
@@ -547,17 +842,6 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
-/// Union by minimal root: the surviving root is the smaller index, which
-/// keeps the invariant that a set's root is its minimal element.
-fn union(parent: &mut [u32], a: u32, b: u32) {
-    let ra = find(parent, a);
-    let rb = find(parent, b);
-    if ra == rb {
-        return;
-    }
-    let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-    parent[hi as usize] = lo;
-}
 
 #[cfg(test)]
 mod tests {

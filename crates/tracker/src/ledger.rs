@@ -8,10 +8,18 @@
 //! assigns each campaign a stable numeric id at birth and re-identifies it
 //! at every epoch boundary by **member overlap**: each previously-known id
 //! votes for the current cluster holding most of its former members
-//! (ties to the lower cluster index), a cluster inherits the smallest id
+//! (ties to the lower cluster key), a cluster inherits the smallest id
 //! that chose it, and any other claimants are recorded as merged into it.
 //! Insertion-only clustering never splits a component, so the former
 //! members of an id stay together and the vote is decisive.
+//!
+//! An observation ([`Boundary`]) need only carry the clusters that changed
+//! and the points that moved: votes are counted (an id's unmoved members
+//! all sit where its key's point sits), a record nobody claims takes only
+//! the quiet transition its schedule says is due, and the cluster tallies
+//! are kept, not recounted — so a close costs the epoch, not the history.
+//! Every cluster and every point is always a correct observation too; the
+//! offline replay passes exactly that.
 //!
 //! Life state machine (see DESIGN.md §2e):
 //!
@@ -24,7 +32,8 @@
 //! Active/Dormant/Dead ──outvoted at re-identification──▶ Merged (terminal)
 //! ```
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 use seacma_util::sym::{SharedArena, Sym, SymbolArena};
 use seacma_util::{impl_json_enum, impl_json_struct};
@@ -192,12 +201,48 @@ pub struct LedgerEvent {
 /// One cluster as seen at an epoch boundary — the ledger's input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObservedCluster {
-    /// Unique-point indices of the cluster's members, ascending.
-    pub members: Vec<u32>,
+    /// Order key. Keys ascend in the order batch DBSCAN numbers the
+    /// clusters: the incremental tracker passes each component's minimal
+    /// core index, the offline replay the batch cluster id.
+    pub key: u32,
+    /// Unique points in the cluster.
+    pub size: u32,
     /// Total screenshots (original multiplicity) across members.
     pub weight: u32,
     /// Distinct e2LD symbols, sorted by resolved string.
     pub domains: Vec<Sym>,
+}
+
+/// What the ledger reads at an epoch boundary: the clusters that changed
+/// and the points that may have changed cluster since the last
+/// observation.
+///
+/// `clusters` must hold every cluster whose member set, weight or domain
+/// set changed, ascending by key; `moved` every point that joined, left or
+/// changed cluster (new points included); `absorbed` every key of the
+/// last observation that no longer names a cluster because its cluster
+/// merged into another; `key_of` gives a point's current cluster key
+/// (`None` = noise). Supersets are always correct: every cluster and every
+/// point (the offline replay, and the tracker's first close after a
+/// resume) is a full observation, and then `absorbed` may be empty.
+///
+/// Votes are counted, not scanned: a record's former members that are not
+/// in `moved` are taken to sit, all of them, in the cluster holding the
+/// point its key names. That holds for the tracker, whose keys are
+/// component roots (core points, which never change cluster), and is
+/// vacuous for a caller that lists every point in `moved`.
+#[derive(Debug, Clone, Copy)]
+pub struct Boundary<'a, F> {
+    /// Changed clusters, ascending by key.
+    pub clusters: &'a [ObservedCluster],
+    /// Points whose cluster may have changed.
+    pub moved: &'a [u32],
+    /// Keys whose clusters merged into others since the last observation.
+    pub absorbed: &'a [u32],
+    /// Current cluster key of a unique point.
+    pub key_of: F,
+    /// The clusterer's current unique-point count.
+    pub n_unique: usize,
 }
 
 /// The campaign lifecycle ledger. Domains are arena symbols, so the
@@ -212,12 +257,32 @@ pub struct CampaignLedger {
     records: Vec<CampaignRecord>,
     /// Ledger id each unique point belonged to at the last observation.
     assign: Vec<Option<u32>>,
+    /// Per record: unique points assigned to it (0 once merged away).
+    sizes: Vec<u32>,
+    /// Per record: the order key of its cluster at the last observation.
+    keys: Vec<u32>,
+    /// Key → the record owning that cluster (every record of nonzero size).
+    by_key: HashMap<u32, u32>,
+    /// Epoch → records whose quiet transition may fall due then. Entries
+    /// go stale when a record grows; a due record is only checked.
+    due: BTreeMap<u32, Vec<u32>>,
+    /// Records that own a cluster, and those of them meeting θc.
+    counts: (u32, u32),
 }
 
 impl CampaignLedger {
     /// An empty ledger.
     pub fn new(config: LedgerConfig) -> Self {
-        Self { config, records: Vec::new(), assign: Vec::new() }
+        Self {
+            config,
+            records: Vec::new(),
+            assign: Vec::new(),
+            sizes: Vec::new(),
+            keys: Vec::new(),
+            by_key: HashMap::new(),
+            due: BTreeMap::new(),
+            counts: (0, 0),
+        }
     }
 
     /// The dormancy thresholds.
@@ -240,6 +305,12 @@ impl CampaignLedger {
         self.records.iter().filter(|r| r.campaign && r.state != LifeState::Merged)
     }
 
+    /// Clusters at the last observation, and how many of them span ≥ θc
+    /// domains — tallies [`CampaignLedger::observe`] keeps up to date.
+    pub fn cluster_counts(&self) -> (u32, u32) {
+        self.counts
+    }
+
     /// The ledger id each unique point belonged to at the last closed
     /// epoch (`None` = noise). Indexed by the clusterer's unique-point
     /// order; its length is the unique count at the last observation, so
@@ -252,140 +323,267 @@ impl CampaignLedger {
         &self.assign
     }
 
-    /// Closes an epoch: re-identifies `clusters` against the previous
-    /// observation, journals every life event, and returns the events in
-    /// deterministic order (cluster index order, merges before updates).
+    /// Closes an epoch: re-identifies the changed clusters against the
+    /// previous observation, journals every life event, and returns the
+    /// events in deterministic order (key order, merges before updates).
     ///
-    /// `n_unique` is the clusterer's current unique-point count (members
-    /// index into it); `theta_c` the campaign domain threshold; `arena`
-    /// resolves the clusters' domain symbols — touched only when a
-    /// rotation event needs its domain string, never on the steady path.
-    pub fn observe(
+    /// Each previously-known id with a member in a passed cluster votes
+    /// for the one holding most of its former members (ties to the lower
+    /// key); a cluster inherits the smallest id that chose it, the others
+    /// merge into it, and a cluster nobody chose is born. A record no
+    /// passed cluster claims kept its cluster unchanged, so it takes only
+    /// the quiet transition that falls due, placed at its key. The cost is
+    /// the passed clusters, the moved points and the records involved or
+    /// due — never a pass over every record; the assignment column is
+    /// rewritten in full only on an epoch where an id's unmoved members
+    /// change id (a merge, or a re-birth).
+    ///
+    /// `theta_c` is the campaign domain threshold; `arena` resolves the
+    /// clusters' domain symbols — touched only when a rotation event needs
+    /// its domain string, never on the steady path.
+    pub fn observe<F: Fn(u32) -> Option<u32>>(
         &mut self,
         epoch: u32,
-        clusters: &[ObservedCluster],
-        n_unique: usize,
+        boundary: &Boundary<'_, F>,
         theta_c: usize,
         arena: &SymbolArena,
     ) -> Vec<LedgerEvent> {
-        // Vote: each previously-known id backs the current cluster holding
-        // most of its former members (ties to the lower cluster index).
-        let mut votes: BTreeMap<u32, BTreeMap<usize, u32>> = BTreeMap::new();
-        for (ci, c) in clusters.iter().enumerate() {
-            for &u in &c.members {
-                if let Some(p) = self.assign.get(u as usize).copied().flatten() {
-                    *votes.entry(p).or_default().entry(ci).or_default() += 1;
+        let clusters = boundary.clusters;
+        let slot = |key: u32| clusters.binary_search_by_key(&key, |c| c.key).ok();
+        let cluster_of = |u: u32| (boundary.key_of)(u).and_then(slot);
+
+        // Ballots: one per moved former member where it sits now, plus
+        // each involved id's unmoved remainder where its key's point sits.
+        let mut ballots: Vec<(u32, usize, u32)> = Vec::new();
+        let mut moved_out: BTreeMap<u32, u32> = BTreeMap::new();
+        for &u in boundary.moved {
+            if let Some(p) = self.assign.get(u as usize).copied().flatten() {
+                *moved_out.entry(p).or_default() += 1;
+                if let Some(ci) = cluster_of(u) {
+                    ballots.push((p, ci, 1));
                 }
             }
         }
-        // Claimant ids per cluster, ascending (BTreeMap iteration order).
-        let mut claimants: Vec<Vec<u32>> = vec![Vec::new(); clusters.len()];
-        for (&p, per_cluster) in &votes {
-            let (&best_ci, _) = per_cluster
-                .iter()
-                .max_by_key(|&(&ci, &v)| (v, std::cmp::Reverse(ci)))
-                .expect("id voted, so it has at least one cluster");
-            claimants[best_ci].push(p);
+        let keys = clusters.iter().map(|c| &c.key).chain(boundary.absorbed);
+        for id in keys.filter_map(|key| self.by_key.get(key)) {
+            moved_out.entry(*id).or_default();
         }
+        let mut homes: Vec<(u32, usize)> = Vec::new();
+        for (&id, &out) in &moved_out {
+            let rest = self.sizes[id as usize].saturating_sub(out);
+            if let Some(ci) = cluster_of(self.keys[id as usize]).filter(|_| rest > 0) {
+                ballots.push((id, ci, rest));
+                homes.push((id, ci));
+            }
+        }
+        // Each id backs the cluster with most of its votes (ties to the
+        // lower cluster); `choices` lists `(cluster, id)` ascending, so a
+        // cluster's claimants are a run of it, smallest id first.
+        ballots.sort_unstable_by_key(|&(id, ci, _)| (id, ci));
+        let totals: Vec<(u32, usize, u32)> = ballots
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .map(|run| (run[0].0, run[0].1, run.iter().map(|b| b.2).sum()))
+            .collect();
+        let mut choices: Vec<(usize, u32)> = totals
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|per_id| per_id.iter().max_by_key(|&&(_, ci, v)| (v, Reverse(ci))))
+            .map(|&(id, ci, _)| (ci, id))
+            .collect();
+        let voted = |id: u32| ballots.binary_search_by_key(&id, |b| b.0).is_ok();
+        choices.sort_unstable();
+        // Unclaimed records whose quiet transition may be due, in key order.
+        let mut quiet: Vec<(u32, u32)> = Vec::new();
+        while let Some(entry) = self.due.first_entry().filter(|e| *e.key() <= epoch) {
+            quiet.extend(
+                entry
+                    .remove()
+                    .into_iter()
+                    .filter(|&id| self.sizes[id as usize] > 0 && !voted(id))
+                    .map(|id| (self.keys[id as usize], id)),
+            );
+        }
+        quiet.sort_unstable();
+        quiet.dedup();
 
         let mut events: Vec<LedgerEvent> = Vec::new();
-        let mut new_assign: Vec<Option<u32>> = vec![None; n_unique];
+        let mut ids: Vec<u32> = Vec::with_capacity(clusters.len());
+        let mut quiet = quiet.into_iter().peekable();
+        let mut claims = choices.iter().peekable();
+        let mut claimants: Vec<u32> = Vec::new();
         for (ci, c) in clusters.iter().enumerate() {
-            let id = match claimants[ci].first().copied() {
-                Some(keep) => {
-                    for &gone in &claimants[ci][1..] {
-                        let ev = CampaignEvent::MergedInto { epoch, into: keep };
-                        let rec = &mut self.records[gone as usize];
-                        rec.state = LifeState::Merged;
-                        rec.events.push(ev.clone());
-                        events.push(LedgerEvent { id: gone, event: ev });
-                    }
-                    keep
-                }
-                None => {
-                    // Never-seen members only: a birth.
-                    let id = self.records.len() as u32;
-                    let ev = CampaignEvent::Born {
-                        epoch,
-                        members: c.weight,
-                        domains: c.domains.len() as u32,
-                    };
-                    self.records.push(CampaignRecord {
-                        id,
-                        birth_epoch: epoch,
-                        last_growth_epoch: epoch,
-                        members: c.weight,
-                        domains: c.domains.clone(),
-                        campaign: c.domains.len() >= theta_c,
-                        state: LifeState::Active,
-                        events: vec![ev.clone()],
-                    });
-                    events.push(LedgerEvent { id, event: ev });
-                    for &u in &c.members {
-                        new_assign[u as usize] = Some(id);
-                    }
-                    continue;
-                }
-            };
+            while let Some((_, id)) = quiet.next_if(|&(key, _)| key < c.key) {
+                self.go_quiet(epoch, id, &mut events);
+            }
+            claimants.clear();
+            while let Some(&(_, id)) = claims.next_if(|&&(at, _)| at == ci) {
+                claimants.push(id);
+            }
+            ids.push(self.observe_cluster(epoch, c, &claimants, theta_c, arena, &mut events));
+        }
+        for (_, id) in quiet {
+            self.go_quiet(epoch, id, &mut events);
+        }
 
-            let mut emitted: Vec<CampaignEvent> = Vec::new();
-            let rec = &mut self.records[id as usize];
-            // Linear scan, not binary search: symbols are sorted by their
-            // *resolved* string, which `Sym` ordering does not reflect.
-            // Domain lists are small (θc-scale), and symbol equality is an
-            // integer compare — no strings materialize here.
-            for &d in &c.domains {
-                if !rec.domains.contains(&d) {
-                    emitted.push(CampaignEvent::DomainRotated {
-                        epoch,
-                        domain: arena.resolve(d).to_string(),
-                    });
+        // Assignments: unmoved members follow their cluster's new id (a
+        // full pass, taken only when some id changes), moved ones are set.
+        let renames: BTreeMap<u32, u32> =
+            homes.iter().filter(|&&(p, ci)| ids[ci] != p).map(|&(p, ci)| (p, ids[ci])).collect();
+        self.assign.resize(boundary.n_unique, None);
+        if !renames.is_empty() {
+            for a in self.assign.iter_mut() {
+                if let Some(to) = a.and_then(|p| renames.get(&p)) {
+                    *a = Some(*to);
                 }
-            }
-            let qualifies = c.domains.len() >= theta_c;
-            if qualifies && !rec.campaign {
-                emitted.push(CampaignEvent::Promoted { epoch, domains: c.domains.len() as u32 });
-            } else if !qualifies && rec.campaign {
-                emitted.push(CampaignEvent::Demoted { epoch, domains: c.domains.len() as u32 });
-            }
-            if c.weight > rec.members {
-                emitted.push(CampaignEvent::Grew {
-                    epoch,
-                    added: c.weight - rec.members,
-                    members: c.weight,
-                });
-                if rec.state != LifeState::Active {
-                    emitted.push(CampaignEvent::Reactivated { epoch });
-                    rec.state = LifeState::Active;
-                }
-                rec.last_growth_epoch = epoch;
-            } else {
-                let quiet = epoch - rec.last_growth_epoch;
-                match rec.state {
-                    LifeState::Active if quiet >= self.config.quiet_window => {
-                        emitted.push(CampaignEvent::WentDormant { epoch });
-                        rec.state = LifeState::Dormant;
-                    }
-                    LifeState::Dormant if quiet >= self.config.death_window => {
-                        emitted.push(CampaignEvent::Died { epoch });
-                        rec.state = LifeState::Dead;
-                    }
-                    _ => {}
-                }
-            }
-            rec.members = c.weight;
-            rec.domains = c.domains.clone();
-            rec.campaign = qualifies;
-            for ev in emitted {
-                rec.events.push(ev.clone());
-                events.push(LedgerEvent { id, event: ev });
-            }
-            for &u in &c.members {
-                new_assign[u as usize] = Some(id);
             }
         }
-        self.assign = new_assign;
+        for &u in boundary.moved {
+            match (boundary.key_of)(u) {
+                None => self.assign[u as usize] = None,
+                Some(key) => {
+                    if let Some(ci) = slot(key) {
+                        self.assign[u as usize] = Some(ids[ci]);
+                    }
+                }
+            }
+        }
         events
+    }
+
+    /// Re-identifies one passed cluster: merges every claimant but the
+    /// smallest into it, or births it when nobody claims it, then
+    /// journals its growth, rotations and θc crossings. Returns its id.
+    fn observe_cluster(
+        &mut self,
+        epoch: u32,
+        c: &ObservedCluster,
+        claimants: &[u32],
+        theta_c: usize,
+        arena: &SymbolArena,
+        events: &mut Vec<LedgerEvent>,
+    ) -> u32 {
+        let Some((&id, gone)) = claimants.split_first() else {
+            // Never-seen members only: a birth.
+            let id = self.records.len() as u32;
+            let ev = CampaignEvent::Born {
+                epoch,
+                members: c.weight,
+                domains: c.domains.len() as u32,
+            };
+            self.records.push(CampaignRecord {
+                id,
+                birth_epoch: epoch,
+                last_growth_epoch: epoch,
+                members: c.weight,
+                domains: c.domains.clone(),
+                campaign: c.domains.len() >= theta_c,
+                state: LifeState::Active,
+                events: vec![ev.clone()],
+            });
+            self.sizes.push(0);
+            self.keys.push(c.key);
+            self.own(id, c, epoch);
+            events.push(LedgerEvent { id, event: ev });
+            return id;
+        };
+        for &gone in gone {
+            let ev = CampaignEvent::MergedInto { epoch, into: id };
+            self.disown(gone);
+            let rec = &mut self.records[gone as usize];
+            rec.state = LifeState::Merged;
+            rec.events.push(ev.clone());
+            events.push(LedgerEvent { id: gone, event: ev });
+        }
+
+        self.disown(id);
+        let rec = &mut self.records[id as usize];
+        let from = rec.events.len();
+        // Linear scan, not binary search: symbols are sorted by their
+        // *resolved* string, which `Sym` ordering does not reflect.
+        // Domain lists are small (θc-scale), and symbol equality is an
+        // integer compare — no strings materialize here.
+        for &d in &c.domains {
+            if !rec.domains.contains(&d) {
+                rec.events.push(CampaignEvent::DomainRotated {
+                    epoch,
+                    domain: arena.resolve(d).to_string(),
+                });
+            }
+        }
+        let qualifies = c.domains.len() >= theta_c;
+        if qualifies && !rec.campaign {
+            rec.events.push(CampaignEvent::Promoted { epoch, domains: c.domains.len() as u32 });
+        } else if !qualifies && rec.campaign {
+            rec.events.push(CampaignEvent::Demoted { epoch, domains: c.domains.len() as u32 });
+        }
+        if c.weight > rec.members {
+            rec.events.push(CampaignEvent::Grew {
+                epoch,
+                added: c.weight - rec.members,
+                members: c.weight,
+            });
+            if rec.state != LifeState::Active {
+                rec.events.push(CampaignEvent::Reactivated { epoch });
+                rec.state = LifeState::Active;
+            }
+            rec.last_growth_epoch = epoch;
+        } else if let Some(ev) = quiet_transition(rec, epoch, self.config) {
+            rec.events.push(ev);
+        }
+        rec.members = c.weight;
+        rec.domains.clone_from(&c.domains);
+        rec.campaign = qualifies;
+        events.extend(rec.events[from..].iter().map(|ev| LedgerEvent { id, event: ev.clone() }));
+        self.own(id, c, epoch);
+        id
+    }
+
+    /// Record `id` owns cluster `c` as of `epoch`: its size, key and
+    /// tallies follow, and its next quiet transition is scheduled.
+    fn own(&mut self, id: u32, c: &ObservedCluster, epoch: u32) {
+        let i = id as usize;
+        self.sizes[i] = c.size;
+        self.keys[i] = c.key;
+        self.by_key.insert(c.key, id);
+        let campaign = u32::from(self.records[i].campaign);
+        self.counts = (self.counts.0 + 1, self.counts.1 + campaign);
+        self.schedule(id, epoch);
+    }
+
+    /// Record `id` gives up the cluster it owned, if any.
+    fn disown(&mut self, id: u32) {
+        let i = id as usize;
+        if self.sizes[i] == 0 {
+            return;
+        }
+        if self.by_key.get(&self.keys[i]) == Some(&id) {
+            self.by_key.remove(&self.keys[i]);
+        }
+        let campaign = u32::from(self.records[i].campaign);
+        self.counts = (self.counts.0 - 1, self.counts.1 - campaign);
+        self.sizes[i] = 0;
+    }
+
+    /// Queues record `id` for the first epoch after `now` at which its
+    /// state's quiet window can have elapsed.
+    fn schedule(&mut self, id: u32, now: u32) {
+        let rec = &self.records[id as usize];
+        let window = match rec.state {
+            LifeState::Active => self.config.quiet_window,
+            LifeState::Dormant => self.config.death_window,
+            LifeState::Dead | LifeState::Merged => return,
+        };
+        let at = rec.last_growth_epoch.saturating_add(window).max(now.saturating_add(1));
+        self.due.entry(at).or_default().push(id);
+    }
+
+    /// Journals record `id`'s quiet transition, if it is due.
+    fn go_quiet(&mut self, epoch: u32, id: u32, events: &mut Vec<LedgerEvent>) {
+        let rec = &mut self.records[id as usize];
+        if let Some(ev) = quiet_transition(rec, epoch, self.config) {
+            rec.events.push(ev.clone());
+            events.push(LedgerEvent { id, event: ev });
+        }
+        self.schedule(id, epoch);
     }
 
     /// The arena-independent serialized form: every domain symbol resolved
@@ -416,9 +614,11 @@ impl CampaignLedger {
     /// Restores a ledger from [`CampaignLedger::to_state`], re-interning
     /// every domain against `arena` (the clusterer's, already restored —
     /// campaign domains are e2LDs the clusterer has interned, so this
-    /// normally adds nothing).
+    /// normally adds nothing). The cluster keys are not serialized, so the
+    /// first observation after a restore must be a full one (every point
+    /// in `moved`), as a resumed tracker's first close is.
     pub fn from_state(state: LedgerState, arena: &SharedArena) -> Self {
-        Self {
+        let mut ledger = Self {
             config: state.config,
             records: state
                 .records
@@ -435,7 +635,48 @@ impl CampaignLedger {
                 })
                 .collect(),
             assign: state.assign,
+            sizes: Vec::new(),
+            keys: Vec::new(),
+            by_key: HashMap::new(),
+            due: BTreeMap::new(),
+            counts: (0, 0),
+        };
+        // Sizes and tallies are the assignment column's; keys, and with
+        // them the quiet schedule, are unknown until the next observation,
+        // which the tracker makes a full one (it claims every sized record).
+        ledger.sizes = vec![0; ledger.records.len()];
+        ledger.keys = vec![u32::MAX; ledger.records.len()];
+        for &id in ledger.assign.iter().flatten() {
+            if let Some(size) = ledger.sizes.get_mut(id as usize) {
+                *size += 1;
+            }
         }
+        for (r, _) in ledger.records.iter().zip(&ledger.sizes).filter(|(_, &size)| size > 0) {
+            ledger.counts.0 += 1;
+            ledger.counts.1 += u32::from(r.campaign);
+        }
+        ledger
+    }
+}
+
+/// An unchanged record's dormancy or death, when its quiet spell has
+/// reached the window for its state.
+fn quiet_transition(
+    rec: &mut CampaignRecord,
+    epoch: u32,
+    config: LedgerConfig,
+) -> Option<CampaignEvent> {
+    let quiet = epoch - rec.last_growth_epoch;
+    match rec.state {
+        LifeState::Active if quiet >= config.quiet_window => {
+            rec.state = LifeState::Dormant;
+            Some(CampaignEvent::WentDormant { epoch })
+        }
+        LifeState::Dormant if quiet >= config.death_window => {
+            rec.state = LifeState::Dead;
+            Some(CampaignEvent::Died { epoch })
+        }
+        _ => None,
     }
 }
 
@@ -501,28 +742,56 @@ impl_json_struct!(LedgerState { config, records, assign });
 mod tests {
     use super::*;
 
-    fn obs(arena: &mut SymbolArena, members: &[u32], weight: u32, domains: &[&str]) -> ObservedCluster {
-        ObservedCluster {
-            members: members.to_vec(),
-            weight,
-            domains: domains.iter().map(|d| arena.intern(d)).collect(),
-        }
+    /// One cluster of a hand-built boundary: members, weight, domains.
+    type Hand<'a> = (&'a [u32], u32, &'a [&'a str]);
+
+    /// Observes `clusters` as a full boundary over `n` points (keys are
+    /// list positions, every point moved) — the offline replay's form.
+    fn observe(
+        ledger: &mut CampaignLedger,
+        a: &mut SymbolArena,
+        epoch: u32,
+        clusters: &[Hand<'_>],
+        n: usize,
+        theta_c: usize,
+    ) -> Vec<LedgerEvent> {
+        let mut label = vec![None; n];
+        let observed: Vec<ObservedCluster> = (0u32..)
+            .zip(clusters)
+            .map(|(key, &(members, weight, domains))| {
+                for &u in members {
+                    label[u as usize] = Some(key);
+                }
+                ObservedCluster {
+                    key,
+                    size: members.len() as u32,
+                    weight,
+                    domains: domains.iter().map(|d| a.intern(d)).collect(),
+                }
+            })
+            .collect();
+        let moved: Vec<u32> = (0..n as u32).collect();
+        let boundary = Boundary {
+            clusters: &observed,
+            moved: &moved,
+            absorbed: &[],
+            key_of: |u: u32| label[u as usize],
+            n_unique: n,
+        };
+        ledger.observe(epoch, &boundary, theta_c, a)
     }
 
     #[test]
     fn birth_growth_rotation_promotion() {
         let mut a = SymbolArena::new();
         let mut ledger = CampaignLedger::new(LedgerConfig::default());
-        let ev = ledger.observe(0, &[obs(&mut a, &[0, 1], 3, &["a.com", "b.com"])], 2, 3, &a);
+        let ev = observe(&mut ledger, &mut a, 0, &[(&[0, 1], 3, &["a.com", "b.com"])], 2, 3);
         assert_eq!(ev.len(), 1);
         assert!(matches!(ev[0].event, CampaignEvent::Born { members: 3, domains: 2, .. }));
         assert!(!ledger.record(0).campaign);
 
         // Epoch 1: grows, rotates in a third domain, crosses θc = 3.
-        let ev = {
-            let c = obs(&mut a, &[0, 1, 2], 5, &["a.com", "b.com", "c.com"]);
-            ledger.observe(1, &[c], 3, 3, &a)
-        };
+        let ev = observe(&mut ledger, &mut a, 1, &[(&[0, 1, 2], 5, &["a.com", "b.com", "c.com"])], 3, 3);
         let kinds: Vec<_> = ev.iter().map(|e| &e.event).collect();
         assert!(kinds.iter().any(|e| matches!(e, CampaignEvent::DomainRotated { domain, .. } if domain == "c.com")));
         assert!(kinds.iter().any(|e| matches!(e, CampaignEvent::Promoted { domains: 3, .. })));
@@ -536,22 +805,19 @@ mod tests {
         let config = LedgerConfig { quiet_window: 2, death_window: 4 };
         let mut a = SymbolArena::new();
         let mut ledger = CampaignLedger::new(config);
-        let c = obs(&mut a, &[0], 2, &["a.com"]);
-        ledger.observe(0, std::slice::from_ref(&c), 1, 1, &a);
+        let c: Hand<'_> = (&[0], 2, &["a.com"]);
+        observe(&mut ledger, &mut a, 0, &[c], 1, 1);
         assert_eq!(ledger.record(0).state, LifeState::Active);
-        ledger.observe(1, std::slice::from_ref(&c), 1, 1, &a);
+        observe(&mut ledger, &mut a, 1, &[c], 1, 1);
         assert_eq!(ledger.record(0).state, LifeState::Active, "quiet 1 < window 2");
-        let ev = ledger.observe(2, std::slice::from_ref(&c), 1, 1, &a);
+        let ev = observe(&mut ledger, &mut a, 2, &[c], 1, 1);
         assert!(matches!(ev[0].event, CampaignEvent::WentDormant { epoch: 2 }));
-        ledger.observe(3, std::slice::from_ref(&c), 1, 1, &a);
-        let ev = ledger.observe(4, std::slice::from_ref(&c), 1, 1, &a);
+        observe(&mut ledger, &mut a, 3, &[c], 1, 1);
+        let ev = observe(&mut ledger, &mut a, 4, &[c], 1, 1);
         assert!(matches!(ev[0].event, CampaignEvent::Died { epoch: 4 }));
         assert_eq!(ledger.record(0).state, LifeState::Dead);
 
-        let ev = {
-            let c = obs(&mut a, &[0, 1], 3, &["a.com"]);
-            ledger.observe(5, &[c], 2, 1, &a)
-        };
+        let ev = observe(&mut ledger, &mut a, 5, &[(&[0, 1], 3, &["a.com"])], 2, 1);
         assert!(ev.iter().any(|e| matches!(e.event, CampaignEvent::Reactivated { epoch: 5 })));
         assert_eq!(ledger.record(0).state, LifeState::Active);
     }
@@ -561,14 +827,10 @@ mod tests {
         let mut a = SymbolArena::new();
         let mut ledger = CampaignLedger::new(LedgerConfig::default());
         // Two separate campaigns...
-        let (c0, c1) = (obs(&mut a, &[0, 1], 2, &["a.com"]), obs(&mut a, &[2, 3], 2, &["b.com"]));
-        ledger.observe(0, &[c0, c1], 4, 1, &a);
+        observe(&mut ledger, &mut a, 0, &[(&[0, 1], 2, &["a.com"]), (&[2, 3], 2, &["b.com"])], 4, 1);
         assert_eq!(ledger.records().len(), 2);
         // ...that fuse into one cluster at epoch 1.
-        let ev = {
-            let c = obs(&mut a, &[0, 1, 2, 3, 4], 5, &["a.com", "b.com"]);
-            ledger.observe(1, &[c], 5, 1, &a)
-        };
+        let ev = observe(&mut ledger, &mut a, 1, &[(&[0, 1, 2, 3, 4], 5, &["a.com", "b.com"])], 5, 1);
         assert!(ev
             .iter()
             .any(|e| e.id == 1 && matches!(e.event, CampaignEvent::MergedInto { into: 0, .. })));
@@ -581,14 +843,10 @@ mod tests {
     fn demotion_when_domains_fall_below_theta() {
         let mut a = SymbolArena::new();
         let mut ledger = CampaignLedger::new(LedgerConfig::default());
-        let c = obs(&mut a, &[0, 1, 2], 3, &["a.com", "b.com", "c.com"]);
-        ledger.observe(0, &[c], 3, 3, &a);
+        observe(&mut ledger, &mut a, 0, &[(&[0, 1, 2], 3, &["a.com", "b.com", "c.com"])], 3, 3);
         assert!(ledger.record(0).campaign);
         // A border domain migrated away: down to 2 domains.
-        let ev = {
-            let c = obs(&mut a, &[0, 1], 2, &["a.com", "b.com"]);
-            ledger.observe(1, &[c], 3, 3, &a)
-        };
+        let ev = observe(&mut ledger, &mut a, 1, &[(&[0, 1], 2, &["a.com", "b.com"])], 3, 3);
         assert!(ev.iter().any(|e| matches!(e.event, CampaignEvent::Demoted { domains: 2, .. })));
         assert!(!ledger.record(0).campaign);
     }
@@ -601,10 +859,8 @@ mod tests {
         // must not notice.
         a.intern("unrelated.example");
         let mut ledger = CampaignLedger::new(LedgerConfig::default());
-        let c = obs(&mut a, &[0, 1], 3, &["a.com", "b.com"]);
-        ledger.observe(0, &[c], 2, 2, &a);
-        let c = obs(&mut a, &[0, 1, 2], 4, &["a.com", "b.com", "c.com"]);
-        ledger.observe(1, &[c], 3, 2, &a);
+        observe(&mut ledger, &mut a, 0, &[(&[0, 1], 3, &["a.com", "b.com"])], 2, 2);
+        observe(&mut ledger, &mut a, 1, &[(&[0, 1, 2], 4, &["a.com", "b.com", "c.com"])], 3, 2);
 
         let text = json::to_string(&ledger.to_state(&a));
         let state: LedgerState = json::from_str(&text).expect("state parses");

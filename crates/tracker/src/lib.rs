@@ -22,9 +22,9 @@ pub mod incremental;
 pub mod ledger;
 pub mod tracker;
 
-pub use incremental::{ClustererState, IncrementalClusterer};
+pub use incremental::{ClustererState, IncrementalClusterer, Settled};
 pub use ledger::{
-    CampaignEvent, CampaignLedger, CampaignRecord, LedgerConfig, LedgerEvent, LedgerState,
+    Boundary, CampaignEvent, CampaignLedger, CampaignRecord, LedgerConfig, LedgerEvent, LedgerState,
     LifeState, ObservedCluster, RecordState,
 };
 pub use tracker::{CampaignTracker, EpochSummary, TrackerConfig};

@@ -2,17 +2,14 @@
 //! ledger behind one ingest/end-epoch API, with byte-identical
 //! snapshot/resume.
 
-use std::collections::BTreeMap;
-
 use seacma_util::json::{self, JsonError};
 use seacma_util::impl_json_struct;
 use seacma_util::sym::{SharedArena, Sym};
 use seacma_vision::cluster::{ClusterParams, ScreenshotClusters, ScreenshotPoint};
-use seacma_vision::dbscan::Label;
 use seacma_vision::dhash::Dhash;
 
 use crate::incremental::{ClustererState, IncrementalClusterer};
-use crate::ledger::{CampaignLedger, LedgerConfig, LedgerEvent, LedgerState, ObservedCluster};
+use crate::ledger::{Boundary, CampaignLedger, LedgerConfig, LedgerEvent, LedgerState};
 
 /// Tracker parameters: the clustering knobs (shared with the batch
 /// pipeline — exactness requires identical values) plus the ledger's
@@ -161,29 +158,35 @@ impl CampaignTracker {
         }
     }
 
-    /// Closes the current epoch: derives the exact labels, journals
-    /// lifecycle events against the previous epoch, and advances the epoch
-    /// counter. Only the cluster *counts* go into the summary; the full
-    /// [`ScreenshotClusters`] (medoids, string domain sets) is
-    /// [`CampaignTracker::clusters`]' job, paid by callers that read it.
+    /// Closes the current epoch: settles the clusterer (only the points
+    /// this epoch touched, and the ambiguous borders, are placed again),
+    /// journals lifecycle events for the clusters that changed — every
+    /// other record takes only its quiet transitions — and advances the
+    /// epoch counter. The cost is the epoch plus one pass over the ledger's
+    /// records, not the history; the summary's cluster counts are the
+    /// ledger's maintained tallies. The full [`ScreenshotClusters`]
+    /// (medoids, string domain sets) is [`CampaignTracker::clusters`]' job,
+    /// paid by callers that read it. The first close after
+    /// [`CampaignTracker::from_json`] reports every cluster.
     pub fn end_epoch(&mut self) -> EpochSummary {
-        let labels = self.clusterer.labels();
-        let observed = observed_clusters(&self.clusterer, &labels);
-        let theta_c = self.config.params.theta_c;
-        let campaigns = observed.iter().filter(|o| o.domains.len() >= theta_c).count() as u32;
-        let arena = self.clusterer.arena().read();
-        let events = self.ledger.observe(
-            self.epoch,
-            &observed,
-            self.clusterer.unique_len(),
-            theta_c,
-            &arena,
-        );
+        let settled = self.clusterer.settle();
+        let clusterer = &self.clusterer;
+        let boundary = Boundary {
+            clusters: &settled.clusters,
+            moved: &settled.moved,
+            absorbed: &settled.absorbed,
+            key_of: |u| clusterer.key_of(u),
+            n_unique: clusterer.unique_len(),
+        };
+        let arena = clusterer.arena().read();
+        let events =
+            self.ledger.observe(self.epoch, &boundary, self.config.params.theta_c, &arena);
         drop(arena);
+        let (clusters, campaigns) = self.ledger.cluster_counts();
         let summary = EpochSummary {
             epoch: self.epoch,
             ingested: self.epoch_ingested,
-            clusters: observed.len() as u32,
+            clusters,
             campaigns,
             events,
         };
@@ -234,36 +237,6 @@ impl CampaignTracker {
             epoch_ingested: state.epoch_ingested,
         })
     }
-}
-
-/// Groups the label vector into the ledger's observation format.
-///
-/// Domains stay symbols end to end: each cluster's set is deduplicated and
-/// string-ordered through a `BTreeMap<&str, Sym>` keyed by the arena's
-/// resolved slices, so closing an epoch allocates no domain strings at all
-/// — the win the e2e allocation baseline locks in.
-fn observed_clusters(
-    clusterer: &IncrementalClusterer,
-    labels: &[Label],
-) -> Vec<ObservedCluster> {
-    let n_clusters = labels.iter().filter_map(|l| l.cluster_id()).max().map_or(0, |m| m + 1);
-    let mut out: Vec<ObservedCluster> = (0..n_clusters)
-        .map(|_| ObservedCluster { members: Vec::new(), weight: 0, domains: Vec::new() })
-        .collect();
-    let arena = clusterer.arena().read();
-    let syms = clusterer.e2ld_syms();
-    let mut domain_sets: Vec<BTreeMap<&str, Sym>> = vec![BTreeMap::new(); n_clusters];
-    for (u, l) in labels.iter().enumerate() {
-        if let Some(id) = l.cluster_id() {
-            out[id].members.push(u as u32);
-            out[id].weight += clusterer.originals()[u].len() as u32;
-            domain_sets[id].insert(arena.resolve(syms[u]), syms[u]);
-        }
-    }
-    for (o, ds) in out.iter_mut().zip(domain_sets) {
-        o.domains = ds.into_values().collect();
-    }
-    out
 }
 
 /// Serialized form of [`CampaignTracker`].

@@ -16,17 +16,30 @@
 //! that must resume byte-identically, and a **hostile-snapshot** table
 //! (`from_json` answers `Err`, never a panic now or at the next close).
 //!
+//! Also **incremental close == full observation** — the
+//! tracker's close, which observes only the clusters the epoch touched,
+//! equals a reference that re-clusters everything in batch and hands the
+//! ledger every cluster, summary for summary and ledger byte for byte,
+//! with one hand-built row per rule that marks a cluster changed.
+//!
 //! `EpochSummary` carries only cluster *counts*; each suite that closes an
 //! epoch also compares `tracker.clusters()` at the boundary, so the full
 //! list stays pinned to the batch path.
 
-use seacma_tracker::{CampaignTracker, IncrementalClusterer, TrackerConfig};
+use std::collections::{BTreeSet, HashMap};
+
+use seacma_tracker::{
+    Boundary, CampaignEvent, CampaignLedger, CampaignTracker, EpochSummary, IncrementalClusterer,
+    LedgerConfig, ObservedCluster, TrackerConfig,
+};
 use seacma_util::forall;
 use seacma_util::json::{self, Value};
 use seacma_util::prop::Rng;
+use seacma_util::sym::SymbolArena;
 use seacma_vision::cluster::{cluster_screenshots, ClusterParams, ScreenshotPoint};
+use seacma_vision::dbscan::dbscan_with;
 use seacma_vision::dhash::{hamming, Dhash};
-use seacma_vision::index::radius_for_eps;
+use seacma_vision::index::{radius_for_eps, HammingIndex};
 
 /// A corpus with planted near-duplicate campaigns (rotating domains),
 /// exact duplicates and background noise — every dedup/border/noise path.
@@ -148,27 +161,34 @@ fn snapshot_resume_is_byte_identical_to_uninterrupted() {
         let config = TrackerConfig { params: gen_params(rng), ..Default::default() };
         let n = rng.range(10, 60);
         let pts = gen_corpus(rng, n);
+        let ends = gen_epoch_splits(rng, pts.len());
+        // Snapshot anywhere: at an epoch boundary or mid-epoch.
         let cut = rng.below(pts.len() as u64 + 1) as usize;
 
         let mut whole = CampaignTracker::new(config);
         let mut front = CampaignTracker::new(config);
-        for p in &pts[..cut] {
+        let mut resumed: Option<CampaignTracker> = None;
+        let mut summaries = (Vec::new(), Vec::new());
+        for (i, p) in pts.iter().enumerate() {
+            if i == cut {
+                let snap = front.to_json();
+                let back = CampaignTracker::from_json(&snap).expect("snapshot parses");
+                assert_eq!(back.to_json(), snap, "serialize∘deserialize is the identity");
+                resumed = Some(back);
+            }
+            let other = resumed.as_mut().unwrap_or(&mut front);
             whole.ingest(p.clone());
-            front.ingest(p.clone());
+            other.ingest(p.clone());
+            if ends.contains(&(i + 1)) {
+                summaries.0.push(whole.end_epoch());
+                summaries.1.push(other.end_epoch());
+            }
         }
-        // Sometimes snapshot at an epoch boundary, sometimes mid-epoch.
-        if rng.bool(0.5) {
-            assert_eq!(whole.end_epoch(), front.end_epoch());
-            assert_eq!(whole.clusters(), front.clusters());
-        }
-        let snap = front.to_json();
-        let mut resumed = CampaignTracker::from_json(&snap).expect("snapshot parses");
-        assert_eq!(resumed.to_json(), snap, "serialize∘deserialize is the identity");
-
-        for p in &pts[cut..] {
-            whole.ingest(p.clone());
-            resumed.ingest(p.clone());
-        }
+        let mut resumed = match resumed {
+            Some(resumed) => resumed,
+            None => CampaignTracker::from_json(&front.to_json()).expect("snapshot parses"),
+        };
+        assert_eq!(summaries.0, summaries.1, "summary sequences agree across the resume");
         let summary = whole.end_epoch();
         assert_eq!(summary, resumed.end_epoch(), "summaries agree after resume");
         let clusters = whole.clusters();
@@ -177,6 +197,30 @@ fn snapshot_resume_is_byte_identical_to_uninterrupted() {
         assert_eq!(summary.campaigns as usize, clusters.campaigns.len());
         assert_eq!(whole.to_json(), resumed.to_json(), "final snapshots byte-identical");
     });
+}
+
+#[test]
+fn resume_with_a_migration_pending_matches_uninterrupted() {
+    // Each hand-built migration, snapshotted after its second epoch's
+    // points arrived but before the close that moves the border.
+    for (epochs, theta_c) in [(migration_through_a_union(), 5), (migration_through_a_new_core(), 5)] {
+        let config = hand_config(theta_c);
+        let mut whole = CampaignTracker::new(config);
+        whole.ingest_all(epochs[0].iter().cloned());
+        whole.end_epoch();
+        whole.ingest_all(epochs[1].iter().cloned());
+        let mut resumed = CampaignTracker::from_json(&whole.to_json()).expect("snapshot parses");
+        let (a, b) = (whole.end_epoch(), resumed.end_epoch());
+        assert!(a.events.iter().any(|e| matches!(e.event, CampaignEvent::Demoted { .. })));
+        assert_eq!(a, b, "the pending migration closes the same way");
+        let tail = group(low(60, 84), 119, "t");
+        for t in [vec![], tail] {
+            whole.ingest_all(t.iter().cloned());
+            resumed.ingest_all(t.iter().cloned());
+            assert_eq!(whole.end_epoch(), resumed.end_epoch());
+        }
+        assert_eq!(whole.to_json(), resumed.to_json());
+    }
 }
 
 #[test]
@@ -442,4 +486,303 @@ fn corrupt_snapshots_are_errors_not_panics() {
     for (what, text) in &hostile {
         assert!(CampaignTracker::from_json(text).is_err(), "{what}: accepted");
     }
+}
+
+/// The reference epoch close: batch DBSCAN over a fresh index on every
+/// point so far, every cluster handed to a ledger of its own as a full
+/// observation (every point moved, key = batch id) — the shape of the
+/// daemon's offline replay, sharing no clustering code with the tracker.
+struct Reference {
+    config: TrackerConfig,
+    ledger: CampaignLedger,
+    arena: SymbolArena,
+    all: Vec<ScreenshotPoint>,
+    epoch: u32,
+}
+
+impl Reference {
+    fn new(config: TrackerConfig) -> Self {
+        let ledger = CampaignLedger::new(config.ledger);
+        Self { config, ledger, arena: SymbolArena::new(), all: Vec::new(), epoch: 0 }
+    }
+
+    fn close(&mut self, batch: &[ScreenshotPoint]) -> EpochSummary {
+        self.all.extend(batch.iter().cloned());
+        let mut uniq: Vec<&ScreenshotPoint> = Vec::new();
+        let mut weight: Vec<u32> = Vec::new();
+        let mut seen: HashMap<(Dhash, &str), usize> = HashMap::new();
+        for p in &self.all {
+            let slot = *seen.entry((p.dhash, p.e2ld.as_str())).or_insert_with(|| {
+                uniq.push(p);
+                weight.push(0);
+                uniq.len() - 1
+            });
+            weight[slot] += 1;
+        }
+        let hashes: Vec<Dhash> = uniq.iter().map(|p| p.dhash).collect();
+        let params = self.config.params;
+        let labels = dbscan_with(&mut HammingIndex::build(&hashes, params.eps), params.min_pts);
+        let n_clusters = labels.iter().filter_map(|l| l.cluster_id()).max().map_or(0, |m| m + 1);
+        let mut observed: Vec<ObservedCluster> = (0..n_clusters as u32)
+            .map(|key| ObservedCluster { key, size: 0, weight: 0, domains: Vec::new() })
+            .collect();
+        let mut domains: Vec<BTreeSet<&str>> = vec![BTreeSet::new(); n_clusters];
+        for (u, l) in labels.iter().enumerate() {
+            if let Some(c) = l.cluster_id() {
+                observed[c].size += 1;
+                observed[c].weight += weight[u];
+                domains[c].insert(uniq[u].e2ld.as_str());
+            }
+        }
+        for (o, ds) in observed.iter_mut().zip(domains) {
+            o.domains = ds.into_iter().map(|d| self.arena.intern(d)).collect();
+        }
+        let moved: Vec<u32> = (0..uniq.len() as u32).collect();
+        let boundary = Boundary {
+            clusters: &observed,
+            moved: &moved,
+            absorbed: &[],
+            key_of: |u: u32| labels[u as usize].cluster_id().map(|c| c as u32),
+            n_unique: uniq.len(),
+        };
+        let events = self.ledger.observe(self.epoch, &boundary, params.theta_c, &self.arena);
+        let campaigns = observed.iter().filter(|o| o.domains.len() >= params.theta_c).count();
+        self.epoch += 1;
+        EpochSummary {
+            epoch: self.epoch - 1,
+            ingested: batch.len() as u32,
+            clusters: n_clusters as u32,
+            campaigns: campaigns as u32,
+            events,
+        }
+    }
+
+    /// The ledger as the tracker serializes it.
+    fn ledger_json(&self) -> String {
+        json::to_string(&self.ledger.to_state(&self.arena))
+    }
+}
+
+/// The `"ledger"` member of a tracker snapshot.
+fn ledger_json_of(tracker: &CampaignTracker) -> String {
+    let Value::Obj(members) = json::parse(&tracker.to_json()).expect("snapshot parses") else {
+        panic!("a tracker snapshot is an object");
+    };
+    let (_, ledger) = members.into_iter().find(|(k, _)| k == "ledger").expect("ledger member");
+    json::to_string(&ledger)
+}
+
+/// Feeds `epochs` to a tracker, to a twin that is resumed from its own
+/// snapshot before every close (so every close is a full one), and to the
+/// reference; every boundary must agree. Returns every summary.
+fn close_all_three_ways(config: TrackerConfig, epochs: &[Vec<ScreenshotPoint>]) -> Vec<EpochSummary> {
+    let mut tracker = CampaignTracker::new(config);
+    let mut twin = CampaignTracker::new(config);
+    let mut reference = Reference::new(config);
+    let mut summaries = Vec::new();
+    for (e, batch) in epochs.iter().enumerate() {
+        tracker.ingest_all(batch.iter().cloned());
+        twin.ingest_all(batch.iter().cloned());
+        twin = CampaignTracker::from_json(&twin.to_json()).expect("own snapshot loads");
+        let summary = tracker.end_epoch();
+        assert_eq!(summary, reference.close(batch), "summary of epoch {e}");
+        assert_eq!(summary, twin.end_epoch(), "full close of epoch {e}");
+        assert_eq!(ledger_json_of(&tracker), reference.ledger_json(), "ledger after epoch {e}");
+        assert_eq!(tracker.to_json(), twin.to_json(), "snapshot after epoch {e}");
+        summaries.push(summary);
+    }
+    summaries
+}
+
+/// A corpus rich in borders: planted near-duplicate groups, points at
+/// about the clustering radius from a group centre (borders, bridges and
+/// ambiguous borders between groups), exact duplicates and noise.
+fn gen_border_corpus(rng: &mut Rng, n: usize, radius: u32) -> Vec<ScreenshotPoint> {
+    let centers: Vec<u128> = (0..rng.range(2, 6)).map(|_| rng.u128()).collect();
+    let mut out: Vec<ScreenshotPoint> = Vec::with_capacity(n);
+    for i in 0..n {
+        let c = rng.below(centers.len() as u64) as usize;
+        let roll = rng.f64();
+        let mut h = centers[c];
+        let flips = if roll < 0.55 {
+            rng.below(3) as u32
+        } else if roll < 0.8 {
+            (radius + rng.below(5) as u32).saturating_sub(2)
+        } else if roll < 0.9 && !out.is_empty() {
+            let p = out[rng.below(out.len() as u64) as usize].clone();
+            out.push(p);
+            continue;
+        } else {
+            out.push(ScreenshotPoint::new(Dhash(rng.u128()), format!("noise{i}.com")));
+            continue;
+        };
+        for _ in 0..flips {
+            h ^= 1u128 << rng.below(128);
+        }
+        out.push(ScreenshotPoint::new(Dhash(h), format!("c{c}d{}.xyz", rng.below(7))));
+    }
+    out
+}
+
+#[test]
+fn incremental_close_equals_full_observation_at_every_boundary() {
+    forall!(64, |rng| {
+        let params = ClusterParams {
+            eps: *rng.pick(&[0.05, 0.1, 0.15]),
+            min_pts: rng.range(2, 6),
+            theta_c: rng.range(1, 5),
+        };
+        let ledger = LedgerConfig { quiet_window: rng.range(1, 3) as u32, death_window: 3 };
+        let n = rng.range(20, 120);
+        let pts = gen_border_corpus(rng, n, radius_for_eps(params.eps));
+        // Random epoch splits, empty epochs included.
+        let mut cuts: Vec<usize> =
+            (0..rng.range(1, 9)).map(|_| rng.below(pts.len() as u64 + 1) as usize).collect();
+        cuts.push(pts.len());
+        cuts.sort_unstable();
+        let mut fed = 0;
+        let epochs: Vec<Vec<ScreenshotPoint>> = cuts
+            .into_iter()
+            .map(|cut| {
+                let batch = pts[fed..cut].to_vec();
+                fed = cut;
+                batch
+            })
+            .collect();
+        close_all_three_ways(TrackerConfig { params, ledger }, &epochs);
+    });
+}
+
+/// `base` plus three near-duplicates, each flipping one of the high bits
+/// `bits..bits + 3` — four mutually adjacent points, all core at
+/// `min_pts = 4` — with domains `{tag}0..{tag}3`.
+fn group(base: u128, bits: u32, tag: &str) -> Vec<ScreenshotPoint> {
+    (0..4u32)
+        .map(|i| {
+            let h = if i == 0 { base } else { base ^ (1u128 << (bits + i)) };
+            ScreenshotPoint::new(Dhash(h), format!("{tag}{i}.com"))
+        })
+        .collect()
+}
+
+/// Four mutually adjacent groups of bits for the hand-built rows (radius
+/// 12 at the default `eps`): `low(a, b)` sets bits `a..b`.
+fn low(a: u32, b: u32) -> u128 {
+    (a..b).fold(0, |h, bit| h | (1u128 << bit))
+}
+
+/// The event kinds of one summary, for row assertions.
+fn kinds(s: &EpochSummary) -> Vec<&'static str> {
+    s.events
+        .iter()
+        .map(|e| match e.event {
+            CampaignEvent::Born { .. } => "Born",
+            CampaignEvent::Grew { .. } => "Grew",
+            CampaignEvent::DomainRotated { .. } => "DomainRotated",
+            CampaignEvent::Promoted { .. } => "Promoted",
+            CampaignEvent::Demoted { .. } => "Demoted",
+            CampaignEvent::WentDormant { .. } => "WentDormant",
+            CampaignEvent::Died { .. } => "Died",
+            CampaignEvent::Reactivated { .. } => "Reactivated",
+            CampaignEvent::MergedInto { .. } => "MergedInto",
+        })
+        .collect()
+}
+
+fn hand_config(theta_c: usize) -> TrackerConfig {
+    TrackerConfig {
+        params: ClusterParams { eps: 0.1, min_pts: 4, theta_c },
+        ledger: LedgerConfig { quiet_window: 1, death_window: 2 },
+    }
+}
+
+/// Border `q` of cluster X; a second epoch makes the older point `y` core,
+/// so `q` (which gained a core neighbour) moves to the new cluster Y.
+fn migration_through_a_new_core() -> Vec<Vec<ScreenshotPoint>> {
+    let (y, q, x) = (0u128, low(0, 12), low(0, 24));
+    let mut first = vec![
+        ScreenshotPoint::new(Dhash(y), "y0.com"),
+        ScreenshotPoint::new(Dhash(q), "q.com"),
+    ];
+    first.extend(group(x, 99, "x"));
+    let second = group(y, 109, "y").split_off(1);
+    vec![first, second]
+}
+
+#[test]
+fn migration_through_a_new_core_is_seen() {
+    let s = close_all_three_ways(hand_config(2), &migration_through_a_new_core());
+    // Y's root (point 0) is older than X's, so its birth comes first.
+    assert_eq!(kinds(&s[1]), ["Born", "WentDormant"], "X loses q to the new Y");
+    assert_eq!(s[1].clusters, 2);
+}
+
+/// Border `x` between components C and B (labelled C, the older), then a
+/// bridge `y` unions B into the even older A: `x` now belongs to A∪B and
+/// C loses it, though nothing adjacent to C was touched.
+fn migration_through_a_union() -> Vec<Vec<ScreenshotPoint>> {
+    let mut first = group(low(24, 48), 99, "a");
+    first.extend(group(low(0, 24), 104, "c"));
+    first.extend(group(0, 109, "b"));
+    first.push(ScreenshotPoint::new(Dhash(low(0, 12)), "x.com"));
+    let y = low(24, 36);
+    let second = vec![
+        ScreenshotPoint::new(Dhash(y), "y0.com"),
+        ScreenshotPoint::new(Dhash(y ^ (1u128 << 120)), "y1.com"),
+        ScreenshotPoint::new(Dhash(y ^ (1u128 << 121)), "y2.com"),
+    ];
+    vec![first, second]
+}
+
+#[test]
+fn migration_through_a_union_is_seen() {
+    let s = close_all_three_ways(hand_config(5), &migration_through_a_union());
+    assert_eq!(kinds(&s[0]), ["Born", "Born", "Born"]);
+    let merged = s[1].events.iter().filter(|e| matches!(e.event, CampaignEvent::MergedInto { .. }));
+    assert_eq!(merged.count(), 1, "B merges into A");
+    assert!(kinds(&s[1]).contains(&"Demoted"), "C loses x.com and falls below θc");
+}
+
+#[test]
+fn a_duplicates_only_epoch_grows() {
+    let first = group(low(0, 24), 99, "d");
+    let second = vec![first[0].clone(), first[2].clone(), first[2].clone()];
+    let s = close_all_three_ways(hand_config(2), &[first, second]);
+    assert_eq!(kinds(&s[1]), ["Grew"]);
+}
+
+#[test]
+fn epochs_without_ingest_take_only_quiet_transitions() {
+    let first = group(low(0, 24), 99, "q");
+    let s = close_all_three_ways(hand_config(2), &[first, vec![], vec![], vec![]]);
+    assert_eq!(kinds(&s[1]), ["WentDormant"]);
+    assert_eq!(kinds(&s[2]), ["Died"]);
+    assert!(s[3].events.is_empty());
+}
+
+#[test]
+fn a_bridge_merges_two_campaigns() {
+    let mut first = group(low(24, 48), 99, "a");
+    first.extend(group(0, 109, "b"));
+    let y = low(24, 36);
+    let second = vec![
+        ScreenshotPoint::new(Dhash(y), "y0.com"),
+        ScreenshotPoint::new(Dhash(y ^ (1u128 << 120)), "y1.com"),
+        ScreenshotPoint::new(Dhash(y ^ (1u128 << 121)), "y2.com"),
+    ];
+    let s = close_all_three_ways(hand_config(2), &[first, second]);
+    assert_eq!(kinds(&s[1])[0], "MergedInto");
+    assert_eq!(s[1].clusters, 1);
+}
+
+#[test]
+fn a_border_that_leaves_demotes_its_campaign() {
+    // The new-core migration at θc = 5: X spans five domains with q, four
+    // without.
+    let s = close_all_three_ways(hand_config(5), &migration_through_a_new_core());
+    assert_eq!(kinds(&s[0]), ["Born"]);
+    assert_eq!(s[0].campaigns, 1);
+    assert_eq!(kinds(&s[1]), ["Born", "Demoted", "WentDormant"]);
+    assert!(matches!(s[1].events[1].event, CampaignEvent::Demoted { domains: 4, .. }));
+    assert_eq!(s[1].campaigns, 1, "Y, with q.com, is the campaign now");
 }

@@ -24,6 +24,10 @@ cargo test -q --offline
 #       crates/milker/src/scheduler.rs tests
 #   tracker_scaling (incremental == batch at every epoch boundary)
 #       crates/tracker/tests/proptests.rs
+#   track-replay close (incremental close == full observation: summaries
+#   and ledger at every boundary, one hand-built row per dirty rule)
+#       crates/tracker/tests/proptests.rs
+#       (incremental_close_equals_full_observation_at_every_boundary)
 #   crawl_scaling (farm fast path == sequential full-render crawl)
 #       crates/crawler/tests/proptests.rs
 #   query_scaling (daemon == offline batch oracle, snapshot → resume)
